@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -25,7 +26,7 @@ from .errors import (
     RecordParseError,
     RecordValidationError,
 )
-from .groups import AbelianElement, AbelianGroup, element_order
+from .groups import AbelianElement, AbelianGroup, element_order, factorize
 from .indexcalc import delta
 from .perms import CycleType, ind
 
@@ -33,27 +34,6 @@ _SYMMETRIC_GROUPS = {"S3": 3, "S4": 4, "S5": 5}
 _TAME_RE = re.compile(r"^t\(([\d.]+)\)$")
 _WILD_RE = re.compile(r"^w\((\d+)\)$")
 _COVERAGE_RE = re.compile(r"^#coverage\s+group=(\S+)\s+maxdisc=(\d+)\s*$")
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
-    if n < 1:
-        raise DomainError("can only factor positive integers")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    q = 5
-    while q * q <= n:
-        for p in (q, q + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        q += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def fundamental_discriminant(disc: int) -> int:
@@ -128,8 +108,10 @@ class FieldRecord:
     def is_symmetric(self) -> bool:
         return self.group in _SYMMETRIC_GROUPS
 
-    @property
+    @cached_property
     def abelian_group(self) -> AbelianGroup:
+        """The parsed abelian group, computed on first access and kept on the
+        record."""
         if self.is_symmetric:
             raise DomainError(f"record {self.label!r} is not abelian")
         return AbelianGroup.from_label(self.group)
@@ -335,19 +317,15 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
         local=tuple(local),
         quad_subfield_discs=quads,
     )
-    if record.is_symmetric or _looks_abelian(group):
-        record.validate()
-    else:
-        raise RecordParseError(f"unknown group label {group!r}", line_number)
+    if not record.is_symmetric:
+        try:
+            record.abelian_group
+        except DomainError:
+            raise RecordParseError(
+                f"unknown group label {group!r}", line_number
+            ) from None
+    record.validate()
     return record
-
-
-def _looks_abelian(group: str) -> bool:
-    try:
-        AbelianGroup.from_label(group)
-    except DomainError:
-        return False
-    return True
 
 
 def load_dataset(text: str) -> Dataset:
@@ -391,14 +369,17 @@ class WildOverrides:
 
     @staticmethod
     def from_json(text: str) -> "WildOverrides":
-        data = json.loads(text)
         table: dict[tuple[int, int, int], int] = {}
-        for entry in data.get("overrides", []):
-            key = (int(entry["p"]), int(entry["f_val"]), int(entry["k_val"]))
-            value = int(entry["delta"])
-            if value < 0:
-                raise DomainError("override discrepancies must be non-negative")
-            table[key] = value
+        try:
+            for entry in json.loads(text).get("overrides", []):
+                key = (int(entry["p"]), int(entry["f_val"]), int(entry["k_val"]))
+                table[key] = int(entry["delta"])
+        except KeyError as exc:
+            raise DomainError(f"wild override entry lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed wild overrides: {exc}") from None
+        if any(value < 0 for value in table.values()):
+            raise DomainError("override discrepancies must be non-negative")
         return WildOverrides(table)
 
     @staticmethod
@@ -594,6 +575,49 @@ def iter_census_pairs(
     ]
 
 
+def _count(
+    dataset: Dataset,
+    d: int,
+    group: AbelianGroup,
+    x: int,
+    y: int | None,
+    overrides: WildOverrides | None,
+) -> CensusResult:
+    """The pair loop behind :func:`count_N` and :func:`count_N_truncated`:
+    exact pairs are counted by their composed magnitude, or by their
+    :func:`truncated_magnitude` when a prime cutoff ``y`` is given."""
+    if x < 1:
+        raise DomainError("x must be a positive integer")
+    if y is not None:
+        modulus = group.order * math.factorial(d)
+        if y <= modulus:
+            raise DomainError(
+                f"cutoff y = {y} must exceed the wild modulus |A| * d! = {modulus}"
+            )
+    count = 0
+    flagged = 0
+    for f_record, k_record in iter_census_pairs(dataset, d, group):
+        result = compose_disc(f_record, k_record, overrides)
+        if result.exact:
+            magnitude = (
+                result.magnitude
+                if y is None
+                else truncated_magnitude(result, group.order, d, y)
+            )
+            if magnitude < x:
+                count += 1
+        elif result.lower_bound < x:
+            flagged += 1
+    return CensusResult(
+        x=x,
+        count=count,
+        flagged_wild_pairs=flagged,
+        fit_constant=count / x ** (1 / group.order),
+        warnings=tuple(_coverage_warnings(dataset, d, group, x)),
+        y=y,
+    )
+
+
 def count_N(
     dataset: Dataset,
     d: int,
@@ -607,24 +631,7 @@ def count_N(
     dropped: they are excluded from ``count`` and reported in
     ``flagged_wild_pairs`` whenever their magnitude bracket straddles x.
     """
-    if x < 1:
-        raise DomainError("x must be a positive integer")
-    count = 0
-    flagged = 0
-    for f_record, k_record in iter_census_pairs(dataset, d, group):
-        result = compose_disc(f_record, k_record, overrides)
-        if result.exact:
-            if result.magnitude < x:
-                count += 1
-        elif result.lower_bound < x:
-            flagged += 1
-    return CensusResult(
-        x=x,
-        count=count,
-        flagged_wild_pairs=flagged,
-        fit_constant=count / x ** (1 / group.order),
-        warnings=tuple(_coverage_warnings(dataset, d, group, x)),
-    )
+    return _count(dataset, d, group, x, None, overrides)
 
 
 def truncated_magnitude(result: ComposeResult, order: int, d: int, y: int) -> int:
@@ -651,31 +658,7 @@ def count_N_truncated(
     """Count pairs under the truncated discriminant: exact composition at
     primes <= y, the naive product above.  Requires y above the wild modulus
     |A| * d!, so every potentially wild prime lies below the cutoff."""
-    if x < 1:
-        raise DomainError("x must be a positive integer")
-    modulus = group.order * math.factorial(d)
-    if y <= modulus:
-        raise DomainError(
-            f"cutoff y = {y} must exceed the wild modulus |A| * d! = {modulus}"
-        )
-    count = 0
-    flagged = 0
-    for f_record, k_record in iter_census_pairs(dataset, d, group):
-        result = compose_disc(f_record, k_record, overrides)
-        truncated = truncated_magnitude(result, group.order, d, y)
-        if result.exact:
-            if truncated < x:
-                count += 1
-        elif result.lower_bound < x:
-            flagged += 1
-    return CensusResult(
-        x=x,
-        count=count,
-        flagged_wild_pairs=flagged,
-        fit_constant=count / x ** (1 / group.order),
-        warnings=tuple(_coverage_warnings(dataset, d, group, x)),
-        y=y,
-    )
+    return _count(dataset, d, group, x, y, overrides)
 
 
 @dataclass(frozen=True)

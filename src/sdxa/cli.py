@@ -36,7 +36,7 @@ from .census import (
     linearly_disjoint,
     measure_uniformity,
 )
-from .errors import SdxaError
+from .errors import DomainError, SdxaError
 from .groups import (
     AbelianGroup,
     abelian_counting_constants,
@@ -301,22 +301,29 @@ def cmd_compose(args, out) -> int:
 
 def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    bins = []
-    for entry in data["bins"]:
-        classes = frozenset(
-            CycleType(tuple(int(p) for p in text.split(".")))
-            for text in entry["classes"]
-        )
-        exponent = entry.get("exponent")
-        bins.append(
-            UniformityBin(
-                classes=classes,
-                q=int(entry["q"]),
-                exponent=None if exponent is None else Fraction(str(exponent)),
+        text = handle.read()
+    try:
+        entries = [
+            (
+                [tuple(int(p) for p in cls.split(".")) for cls in entry["classes"]],
+                int(entry["q"]),
+                None if entry.get("exponent") is None
+                else Fraction(str(entry["exponent"])),
             )
+            for entry in json.loads(text)["bins"]
+        ]
+    except KeyError as exc:
+        raise DomainError(f"uniformity spec lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed uniformity spec: {exc}") from None
+    return [
+        UniformityBin(
+            classes=frozenset(CycleType(parts) for parts in classes),
+            q=q,
+            exponent=exponent,
         )
-    return bins
+        for classes, q, exponent in entries
+    ]
 
 
 def cmd_uniformity(args, out) -> int:
@@ -383,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail-bound",
                        help="combined exponent and dyadic tail series")
     _add_common(p, d=True, a=True)
-    p.add_argument("--preset", choices=("default",), default="default",
-                   help="exponent preset family (only 'default' exists)")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 1000),
                    help="slack exponent, an exact rational like 1/1000")
     p.add_argument("--m", type=int, required=True,
@@ -425,9 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_rationals(argv: list[str]) -> list[str]:
+    """Rewrite ``--beta -1/1000`` as ``--beta=-1/1000``: argparse takes a
+    separate ``-1/1000`` for an option, not for the value of ``--beta`` or
+    ``--epsilon``."""
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1] in ("--beta", "--epsilon"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args, sys.stdout)
     except SdxaError as exc:

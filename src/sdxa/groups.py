@@ -25,6 +25,27 @@ from .perms import CycleType, Permutation, cycle_type, ind, pair_index, partitio
 _LABEL_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer by trial division."""
+    if n < 1:
+        raise DomainError("can only factor positive integers")
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    q = 5
+    while q * q <= n:
+        for p in (q, q + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        q += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def _normalize_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an arbitrary cyclic-factor list as an invariant-factor chain.
 
@@ -36,17 +57,8 @@ def _normalize_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     for f in factors:
         if f < 1:
             raise DomainError(f"cyclic factor must be >= 1: {f}")
-        n, p = f, 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                exponents.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            exponents.setdefault(n, []).append(1)
+        for p, e in factorize(f).items():
+            exponents.setdefault(p, []).append(e)
     depth = max((len(v) for v in exponents.values()), default=0)
     chain: list[int] = []
     for i in range(depth):
@@ -215,22 +227,10 @@ def galois_orbits(group: AbelianGroup) -> list[tuple[AbelianElement, ...]]:
 
 @lru_cache(maxsize=None)
 def _abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
-    if n == 1:
-        return (AbelianGroup(()),)
-    prime_power_lists: list[list[tuple[int, ...]]] = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            prime_power_lists.append(
-                [tuple(p**k for k in part.parts) for part in partitions(e)]
-            )
-        p += 1
-    if m > 1:
-        prime_power_lists.append([(m,)])
+    prime_power_lists = [
+        [tuple(p**k for k in part.parts) for part in partitions(e)]
+        for p, e in factorize(n).items()
+    ]
     groups = [
         AbelianGroup(tuple(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*prime_power_lists)
@@ -398,9 +398,7 @@ def abelian_counting_constants(group: AbelianGroup) -> tuple[Fraction, int]:
     if group.is_trivial:
         raise DomainError("counting constants require a nontrivial group")
     order = group.order
-    p = min(
-        q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)
-    )
+    p = min(factorize(order))
     a_constant = Fraction(1, order - order // p)
     minimal = order - order // p  # ind of the regular type of an order-p element
     minimal_elements = {
@@ -415,13 +413,3 @@ def abelian_counting_constants(group: AbelianGroup) -> tuple[Fraction, int]:
     )
     return a_constant, orbit_count - 1
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True

@@ -154,15 +154,13 @@ class TailParams:
 
     ``r`` maps every nontrivial cycle type of S_d to the exponent achieved by
     the corresponding dyadic-range count; ``epsilon`` is the slack added on
-    top of ``beta`` by the tail estimator; ``y`` is an optional series cutoff
-    carried along for convenience.
+    top of ``beta`` by the tail estimator.
     """
 
     d: int
     group: AbelianGroup
     r: dict[CycleType, Fraction]
     epsilon: Fraction = Fraction(1, 1000)
-    y: float | None = None
 
     def exponent_for(self, g: CycleType) -> Fraction:
         try:
@@ -325,6 +323,8 @@ def tail_series(
         )
     if m < 1:
         raise DomainError("m must be >= 1")
+    if not math.isfinite(y):
+        raise DomainError(f"cutoff y must be finite, got {y}")
     if y <= 1:
         raise DomainError("cutoff y must exceed 1")
     r_start = max(0, math.ceil(math.log2(y) - m))

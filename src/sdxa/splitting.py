@@ -21,6 +21,7 @@ from .errors import DegreeMismatchError, DomainError, PatternError
 from .groups import (
     AbelianElement,
     AbelianGroup,
+    factorize,
     regular_cycle_type,
     regular_permutation,
 )
@@ -133,7 +134,7 @@ def format_pattern(pattern: SplittingPattern) -> str:
     """Canonical text form; inverse of :func:`parse_pattern`.
 
     >>> format_pattern(SplittingPattern(((2, 1), (1, 1), (1, 2))))
-    '(1^2 1 2)'
+    '(1^2 2 1)'
     >>> format_pattern(SplittingPattern(((10, 1),)))
     '(1^{10})'
     """
@@ -343,7 +344,7 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
     if d not in (3, 4, 5):
         raise DomainError("tables are generated for d in {3, 4, 5}")
     factors = group.invariant_factors
-    if len(factors) != 1 or not _is_prime(factors[0]):
+    if len(factors) != 1 or factorize(factors[0]) != {factors[0]: 1}:
         raise DomainError(
             "tables require a prime-cyclic group (column conventions depend on it)"
         )
@@ -375,13 +376,3 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
     cap = d * ind(regular_cycle_type(generator))
     return ValuationTable(d=d, group=group, rows=tuple(rows), delta_cap=cap)
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True

@@ -124,6 +124,12 @@ def test_parse_quadratic_record_round_trip():
     assert rec.serialize() == line
 
 
+def test_abelian_group_is_parsed_once_per_record():
+    rec = next(r for r in ingest(str(FIXTURE)).records if not r.is_symmetric)
+    assert rec.abelian_group is rec.abelian_group
+    assert rec.abelian_group == AbelianGroup.from_label(rec.group)
+
+
 def test_parse_wild_only_record():
     rec = record("3.-108.1;3;S3;-108;2:w(2),3:w(3);")
     assert all(not datum.is_tame for datum in rec.local)

@@ -159,6 +159,18 @@ def test_tail_bound_epsilon_must_be_rational(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option", ["--beta", "--epsilon"])
+def test_tail_bound_negative_rational_as_separate_value(capsys, option):
+    base = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16",
+            "--format", "tsv"]
+    if option == "--epsilon":
+        base += ["--beta", "-1/2"]
+    spaced = run(capsys, *base, option, "-1/500")
+    joined = run(capsys, *base, f"{option}=-1/500")
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------
@@ -315,6 +327,37 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
                        "--uniformity-spec", str(spec), "--X", "100")
     assert code == 1
     assert "disjoint" in err
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
+         "{not json"),
+        (["census", "--d", "3", "--A", "C2", "--X", "100", "--wild-overrides"],
+         json.dumps({"overrides": [{"p": 2, "k_val": 3, "delta": 4}]})),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["x"], "q": 1}]})),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"]}]})),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 1, "exponent": "abc"}]})),
+        (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "inf"], None),
+        (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "nan"], None),
+    ],
+    ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
+         "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan"],
+)
+def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
+                                                     file_text):
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = argv + [str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
