@@ -129,11 +129,18 @@ class FieldRecord:
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(datum.prime for datum in self.local)
 
+    @cached_property
+    def local_by_prime(self) -> dict[int, LocalDatum]:
+        """The local data keyed by prime, built on first access."""
+        return {datum.prime: datum for datum in self.local}
+
+    @cached_property
+    def fundamental_disc(self) -> int:
+        """The square class of ``disc``, computed on first access."""
+        return fundamental_discriminant(self.disc)
+
     def local_at(self, prime: int) -> LocalDatum | None:
-        for datum in self.local:
-            if datum.prime == prime:
-                return datum
-        return None
+        return self.local_by_prime.get(prime)
 
     def validate(self) -> None:
         if self.is_symmetric:
@@ -347,10 +354,18 @@ def load_dataset(text: str) -> Dataset:
     return Dataset(records=tuple(records), headers=tuple(headers))
 
 
+def read_text(path: str) -> str:
+    """The content of a UTF-8 text file; :class:`DomainError` if it is not."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def ingest(path: str) -> Dataset:
     """Load and validate a record file from disk."""
-    with open(path, encoding="utf-8") as handle:
-        return load_dataset(handle.read())
+    return load_dataset(read_text(path))
 
 
 def dump_dataset(dataset: Dataset) -> str:
@@ -384,8 +399,7 @@ class WildOverrides:
 
     @staticmethod
     def load(path: str) -> "WildOverrides":
-        with open(path, encoding="utf-8") as handle:
-            return WildOverrides.from_json(handle.read())
+        return WildOverrides.from_json(read_text(path))
 
     def lookup(self, prime: int, f_val: int, k_val: int) -> int | None:
         return self.table.get((prime, f_val, k_val))
@@ -412,18 +426,37 @@ class ComposeResult:
     equals the compositum discriminant magnitude.  ``naive_magnitude`` applies
     no discrepancy anywhere; ``lower_bound`` uses the largest discrepancy any
     prime can carry, so the true magnitude always lies in
-    [lower_bound, naive_magnitude].
+    [lower_bound, naive_magnitude].  ``shared`` holds ``(prime, delta_p)`` at
+    each prime where both records ramify, the only primes with a discrepancy;
+    ``breakdown`` is derived from it and the two records on first access.
     """
 
     magnitude: int
     naive_magnitude: int
     lower_bound: int
     unresolved_primes: tuple[int, ...]
-    breakdown: tuple[PrimeBreakdown, ...]
+    shared: tuple[tuple[int, int | None], ...]
+    f_record: FieldRecord
+    k_record: FieldRecord
 
     @property
     def exact(self) -> bool:
         return not self.unresolved_primes
+
+    @cached_property
+    def breakdown(self) -> tuple[PrimeBreakdown, ...]:
+        """Per-prime detail over every prime ramified in F or K, ascending."""
+        d, order = self.f_record.degree, self.k_record.abelian_group.order
+        f_local, k_local = self.f_record.local_by_prime, self.k_record.local_by_prime
+        deltas = dict(self.shared)
+        entries = []
+        for p in sorted(f_local.keys() | k_local.keys()):
+            v_f = f_local[p].valuation if p in f_local else 0
+            v_k = k_local[p].valuation if p in k_local else 0
+            delta_p = deltas.get(p, 0)
+            v_fk = order * v_f + d * v_k - (delta_p or 0)
+            entries.append(PrimeBreakdown(p, v_f, v_k, delta_p, v_fk))
+        return tuple(entries)
 
 
 def _element_of_order(group: AbelianGroup, order: int) -> AbelianElement:
@@ -440,11 +473,11 @@ def compose_disc(
 ) -> ComposeResult:
     """Compose a full-symmetric degree-d record with an abelian record.
 
-    At each prime, the compositum valuation is
-    ``|A| * v_F + d * v_K - delta_p`` with ``delta_p = 0`` unless both fields
-    ramify; at a shared tame-tame prime the discrepancy follows from the two
-    inertia classes, and at a shared prime with wild data it is taken from
-    ``overrides`` or the prime is reported unresolved.
+    The magnitude is ``|D_F|^|A| * |D_K|^d / prod p^delta_p`` over the primes
+    where both (validated) records ramify; at a shared tame-tame prime the
+    discrepancy follows from the two inertia classes, and at a shared prime
+    with wild data it is taken from ``overrides`` or the prime is reported
+    unresolved.
     """
     if not f_record.is_symmetric:
         raise DomainError(
@@ -452,54 +485,40 @@ def compose_disc(
         )
     if k_record.is_symmetric:
         raise DomainError(f"record {k_record.label!r} must be abelian")
-    d = f_record.degree
-    group = k_record.abelian_group
+    d, group = f_record.degree, k_record.abelian_group
     order = group.order
-    magnitude = 1
-    naive_magnitude = 1
-    lower_bound = 1
+    f_local, k_local = f_record.local_by_prime, k_record.local_by_prime
+    naive_magnitude = abs(f_record.disc) ** order * abs(k_record.disc) ** d
+    discrepancy = overlap = 1
     unresolved: list[int] = []
-    breakdown: list[PrimeBreakdown] = []
-    primes = sorted(set(f_record.ramified_primes) | set(k_record.ramified_primes))
-    for p in primes:
-        f_local = f_record.local_at(p)
-        k_local = k_record.local_at(p)
-        v_f = f_local.valuation if f_local else 0
-        v_k = k_local.valuation if k_local else 0
-        naive = order * v_f + d * v_k
-        delta_p: int | None = 0
-        if f_local and k_local:
-            if f_local.is_tame and k_local.is_tame:
-                assert f_local.tame_class is not None
-                assert k_local.tame_class is not None
-                h = _element_of_order(group, k_local.tame_class.parts[0])
-                delta_p = delta(d, group, f_local.tame_class, h)
-            else:
-                found = overrides.lookup(p, v_f, v_k) if overrides else None
-                if found is not None:
-                    if found > min(order * v_f, d * v_k):
-                        raise DomainError(
-                            f"override discrepancy {found} at prime {p} exceeds "
-                            f"the bound min({order * v_f}, {d * v_k})"
-                        )
-                    delta_p = found
-                else:
-                    delta_p = None
-                    unresolved.append(p)
-        applied = delta_p if delta_p is not None else 0
-        v_fk = naive - applied
-        magnitude *= p**v_fk
-        naive_magnitude *= p**naive
-        lower_bound *= p ** max(order * v_f, d * v_k)
-        breakdown.append(
-            PrimeBreakdown(prime=p, v_f=v_f, v_k=v_k, delta_p=delta_p, v_fk=v_fk)
-        )
+    shared: list[tuple[int, int | None]] = []
+    for p in sorted(f_local.keys() & k_local.keys()):
+        f_datum, k_datum = f_local[p], k_local[p]
+        v_f, v_k = f_datum.valuation, k_datum.valuation
+        delta_p: int | None
+        if f_datum.tame_class is not None and k_datum.tame_class is not None:
+            h = _element_of_order(group, k_datum.tame_class.parts[0])
+            delta_p = delta(d, group, f_datum.tame_class, h)
+        else:
+            delta_p = overrides.lookup(p, v_f, v_k) if overrides else None
+            if delta_p is None:
+                unresolved.append(p)
+            elif delta_p > min(order * v_f, d * v_k):
+                raise DomainError(
+                    f"override discrepancy {delta_p} at prime {p} exceeds "
+                    f"the bound min({order * v_f}, {d * v_k})"
+                )
+        shared.append((p, delta_p))
+        discrepancy *= p ** (delta_p or 0)
+        overlap *= p ** min(order * v_f, d * v_k)
     return ComposeResult(
-        magnitude=magnitude,
+        magnitude=naive_magnitude // discrepancy,
         naive_magnitude=naive_magnitude,
-        lower_bound=lower_bound,
+        lower_bound=naive_magnitude // overlap,
         unresolved_primes=tuple(unresolved),
-        breakdown=tuple(breakdown),
+        shared=tuple(shared),
+        f_record=f_record,
+        k_record=k_record,
     )
 
 
@@ -523,8 +542,7 @@ def linearly_disjoint(f_record: FieldRecord, k_record: FieldRecord) -> bool:
             f"record {k_record.label!r} has even order but no quadratic-subfield "
             "discriminants; cannot decide disjointness"
         )
-    resolvent = fundamental_discriminant(f_record.disc)
-    return resolvent not in k_record.quad_subfield_discs
+    return f_record.fundamental_disc not in k_record.quad_subfield_discs
 
 
 @dataclass(frozen=True)
@@ -637,13 +655,13 @@ def count_N(
 def truncated_magnitude(result: ComposeResult, order: int, d: int, y: int) -> int:
     """Discriminant magnitude with the true valuation below the cutoff and
     the naive product valuation above it; unresolved primes (all below any
-    admissible cutoff) contribute their naive valuation."""
-    magnitude = 1
-    for entry in result.breakdown:
-        if entry.prime <= y:
-            magnitude *= entry.prime**entry.v_fk
-        else:
-            magnitude *= entry.prime ** (order * entry.v_f + d * entry.v_k)
+    admissible cutoff) contribute their naive valuation.  Only shared primes
+    carry a discrepancy, so this is ``magnitude`` times ``p^delta_p`` at each
+    shared prime above ``y``; ``order`` and ``d`` stay for existing callers."""
+    magnitude = result.magnitude
+    for p, delta_p in result.shared:
+        if p > y and delta_p:
+            magnitude *= p**delta_p
     return magnitude
 
 

@@ -35,6 +35,7 @@ from .census import (
     ingest,
     linearly_disjoint,
     measure_uniformity,
+    read_text,
 )
 from .errors import DomainError, SdxaError
 from .groups import (
@@ -196,6 +197,8 @@ def cmd_tail_bound(args, out) -> int:
     rows = [["y", "r_start", "terms", "value", "comparator", "ratio"]]
     for y in args.Y:
         estimate = tail_series(beta_value, args.epsilon, args.m, y)
+        if not estimate.comparator:
+            raise DomainError(f"the comparator underflows to 0 at y = {y:g}")
         rows.append(
             [
                 f"{y:g}",
@@ -300,8 +303,7 @@ def cmd_compose(args, out) -> int:
 
 
 def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     try:
         entries = [
             (

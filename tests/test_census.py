@@ -6,7 +6,10 @@ Independent oracles used here:
 * fundamental discriminants are re-derived from the definition (congruence
   and squarefreeness conditions) when checking the bundled fixture;
 * composed magnitudes in the unit examples are computed by hand from the
-  per-prime valuation formula.
+  per-prime valuation formula;
+* ``_oracle_compose`` keeps the per-prime composition that walked every
+  ramified prime of both records, and the shared-prime ``compose_disc`` and
+  the counts built on it are checked against it field for field.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from sdxa.errors import (
     RecordValidationError,
     SdxaError,
 )
-from sdxa.groups import AbelianGroup
+from sdxa.groups import AbelianGroup, element_order
+from sdxa.indexcalc import delta
 from sdxa.perms import CycleType
 
 FIXTURE = Path(__file__).resolve().parent.parent / "src" / "sdxa" / "data" / (
@@ -345,6 +349,39 @@ def test_compose_rejects_overlarge_override():
     )
     with pytest.raises(DomainError, match="exceeds the bound"):
         compose_disc(f_rec, k_rec, too_big)
+
+
+def test_breakdown_is_derived_on_first_access():
+    f_rec = record("f;3;S3;-104;2:w(3),13:t(2.1);")
+    k_rec = record("k;2;C2;8;2:w(3);8")
+    result = compose_disc(f_rec, k_rec)
+    assert "breakdown" not in vars(result)
+    assert result.breakdown is result.breakdown
+    assert [entry.prime for entry in result.breakdown] == [2, 13]
+
+
+@pytest.mark.parametrize(
+    "f_line,k_line,exact",
+    [
+        # shared tame prime 7 (delta 2) next to the unshared 13
+        ("f;3;S3;-637;7:t(3),13:t(2.1);", "k;2;C2;-7;7:t(2);-7", True),
+        # shared wild prime 2 left unresolved, unshared 13
+        ("f;3;S3;-104;2:w(3),13:t(2.1);", "k;2;C2;8;2:w(3);8", False),
+    ],
+    ids=["exact", "unresolved"],
+)
+def test_breakdown_multiplies_out_to_the_magnitudes(f_line, k_line, exact):
+    result = compose_disc(record(f_line), record(k_line))
+    assert result.exact is exact
+    entries = result.breakdown
+    assert math.prod(e.prime**e.v_fk for e in entries) == result.magnitude
+    assert (
+        math.prod(e.prime ** (2 * e.v_f + 3 * e.v_k) for e in entries)
+        == result.naive_magnitude
+    )
+    assert [e.prime for e in entries if e.delta_p is None] == list(
+        result.unresolved_primes
+    )
 
 
 def test_override_json_rejects_negative_delta():
@@ -708,3 +745,220 @@ def test_fixture_census_runs_clean(bundled):
         assert previous <= trunc.count <= result.count
         assert trunc.flagged_wild_pairs == result.flagged_wild_pairs
         previous = trunc.count
+
+
+# ---------------------------------------------------------------------------
+# shared-prime composition against the per-prime oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_compose(f_record, k_record, overrides=None):
+    """The per-prime composition: every prime ramified in either record,
+    each looked up by a linear scan of the local data.  Returns
+    (magnitude, naive_magnitude, lower_bound, unresolved_primes, breakdown)."""
+
+    def local_at(rec, p):
+        return next((datum for datum in rec.local if datum.prime == p), None)
+
+    d = f_record.degree
+    group = k_record.abelian_group
+    order = group.order
+    magnitude = naive_magnitude = lower_bound = 1
+    unresolved, breakdown = [], []
+    primes = sorted(
+        {x.prime for x in f_record.local} | {x.prime for x in k_record.local}
+    )
+    for p in primes:
+        f_local, k_local = local_at(f_record, p), local_at(k_record, p)
+        v_f = f_local.valuation if f_local else 0
+        v_k = k_local.valuation if k_local else 0
+        naive = order * v_f + d * v_k
+        delta_p = 0
+        if f_local and k_local:
+            if f_local.is_tame and k_local.is_tame:
+                n = k_local.tame_class.parts[0]
+                h = next(e for e in group.elements() if element_order(e) == n)
+                delta_p = delta(d, group, f_local.tame_class, h)
+            else:
+                found = overrides.lookup(p, v_f, v_k) if overrides else None
+                if found is not None:
+                    if found > min(order * v_f, d * v_k):
+                        raise DomainError(
+                            f"override discrepancy {found} at prime {p} exceeds "
+                            f"the bound min({order * v_f}, {d * v_k})"
+                        )
+                    delta_p = found
+                else:
+                    delta_p = None
+                    unresolved.append(p)
+        v_fk = naive - (delta_p or 0)
+        magnitude *= p**v_fk
+        naive_magnitude *= p**naive
+        lower_bound *= p ** max(order * v_f, d * v_k)
+        breakdown.append(PrimeBreakdown(p, v_f, v_k, delta_p, v_fk))
+    return magnitude, naive_magnitude, lower_bound, tuple(unresolved), tuple(breakdown)
+
+
+def _oracle_truncated(oracle, order, d, y):
+    return math.prod(
+        e.prime ** (e.v_fk if e.prime <= y else order * e.v_f + d * e.v_k)
+        for e in oracle[4]
+    )
+
+
+def _assert_matches_oracle(f_rec, k_rec, overrides=None):
+    expected = _oracle_compose(f_rec, k_rec, overrides)
+    result = compose_disc(f_rec, k_rec, overrides)
+    got = (
+        result.magnitude,
+        result.naive_magnitude,
+        result.lower_bound,
+        result.unresolved_primes,
+        result.breakdown,
+    )
+    assert got == expected, (f_rec.label, k_rec.label)
+    assert result.exact == (not expected[3])
+    order = k_rec.abelian_group.order
+    for y in (13, 31, 100, 1000):
+        assert truncated_magnitude(result, order, f_rec.degree, y) == (
+            _oracle_truncated(expected, order, f_rec.degree, y)
+        )
+
+
+FIXTURE_OVERRIDES = WildOverrides({(2, 2, 2): 2, (2, 3, 3): 4, (3, 1, 1): 2})
+
+
+@pytest.mark.parametrize(
+    "overrides", [None, FIXTURE_OVERRIDES], ids=["plain", "overrides"]
+)
+def test_compose_matches_oracle_on_every_fixture_pair(bundled, overrides):
+    k_records = bundled.abelian_records(C2)
+    for f_rec in bundled.by_group("S3"):
+        for k_rec in k_records:
+            _assert_matches_oracle(f_rec, k_rec, overrides)
+
+
+def _hand_record(label: str, group: str, local_text: str) -> FieldRecord:
+    """A validated record whose discriminant is the product of its local
+    valuations (the index of a tame class, the stated wild valuation)."""
+    degree = {"S3": 3, "S4": 4, "S5": 5}.get(group)
+    degree = degree or AbelianGroup.from_label(group).order
+    disc = 1
+    for chunk in local_text.split(","):
+        prime, _, kind = chunk.partition(":")
+        parts = [int(x) for x in kind[2:-1].split(".")]
+        valuation = parts[0] if kind[0] == "w" else sum(parts) - len(parts)
+        disc *= int(prime) ** valuation
+    return parse_record(f"{label};{degree};{group};{-disc};{local_text};")
+
+
+HAND_F = [
+    _hand_record("f3", "S3", "3:w(3),5:t(2.1),7:t(3)"),
+    _hand_record("f4", "S4", "2:w(2),3:w(2),5:t(4),7:t(2.1.1),11:t(3.1)"),
+    _hand_record("f5", "S5", "2:w(3),3:w(1),5:w(4),7:t(5),13:t(3.1.1)"),
+]
+HAND_K = [
+    _hand_record("k3", "C3", "3:w(4),7:t(3),13:t(3)"),
+    _hand_record("k4", "C4", "2:w(11),3:t(2.2),5:t(4),7:t(2.2),11:t(4)"),
+    _hand_record("k6", "C6", "2:w(3),3:w(8),5:t(6),7:t(3.3),13:t(2.2.2)"),
+]
+
+
+def _wild_keys(f_rec, k_rec):
+    """(key, bound) at each shared prime where either side is wild."""
+    order, d = k_rec.abelian_group.order, f_rec.degree
+    keys = []
+    for f_datum in f_rec.local:
+        k_datum = k_rec.local_at(f_datum.prime)
+        if k_datum and not (f_datum.is_tame and k_datum.is_tame):
+            v_f, v_k = f_datum.valuation, k_datum.valuation
+            keys.append(((f_datum.prime, v_f, v_k), min(order * v_f, d * v_k)))
+    return keys
+
+
+@pytest.mark.parametrize("k_rec", HAND_K, ids=lambda r: r.group)
+@pytest.mark.parametrize("f_rec", HAND_F, ids=lambda r: r.group)
+def test_compose_matches_oracle_on_hand_built_overlaps(f_rec, k_rec):
+    keys = _wild_keys(f_rec, k_rec)
+    assert keys  # every hand-built pair has a wild overlap ...
+    oracle = _oracle_compose(f_rec, k_rec)
+    # ... and a tame-tame one with a nonzero discrepancy
+    assert any(e.delta_p for e in oracle[4])
+    _assert_matches_oracle(f_rec, k_rec)
+    _assert_matches_oracle(f_rec, k_rec, WildOverrides({keys[0][0]: keys[0][1]}))
+    _assert_matches_oracle(
+        f_rec, k_rec, WildOverrides({key: bound // 2 for key, bound in keys})
+    )
+    too_big = WildOverrides({key: bound + 1 for key, bound in keys})
+    with pytest.raises(DomainError) as expected:
+        _oracle_compose(f_rec, k_rec, too_big)
+    with pytest.raises(DomainError, match="exceeds the bound") as got:
+        compose_disc(f_rec, k_rec, too_big)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(bundled):
+    """Oracle results of every linearly disjoint fixture pair, disjointness
+    decided straight from the square classes."""
+    return [
+        _oracle_compose(f_rec, k_rec)
+        for f_rec in bundled.by_group("S3")
+        for k_rec in bundled.abelian_records(C2)
+        if fundamental_discriminant(f_rec.disc) not in k_rec.quad_subfield_discs
+    ]
+
+
+@pytest.mark.parametrize("y", [None, 13, 31, 100, 1000])
+def test_counts_match_oracle_driven_counts(bundled, oracle_pairs, y):
+    for x in (10**k for k in range(1, 9)):
+        count = flagged = 0
+        for oracle in oracle_pairs:
+            if oracle[3]:
+                flagged += oracle[2] < x
+            else:
+                magnitude = (
+                    oracle[0] if y is None else _oracle_truncated(oracle, 2, 3, y)
+                )
+                count += magnitude < x
+        if y is None:
+            result = count_N(bundled, 3, C2, x)
+        else:
+            result = count_N_truncated(bundled, 3, C2, x, y)
+        assert (result.count, result.flagged_wild_pairs) == (count, flagged), x
+
+
+@pytest.mark.parametrize("y", [None, 100])
+def test_census_calls_each_layer_once_per_pair(bundled, monkeypatch, y):
+    # the binding sites the benchmark tracer wraps; one compose_disc per
+    # disjoint pair, one linearly_disjoint per candidate pair, one delta per
+    # shared tame-tame prime of a disjoint pair
+    import sdxa.census as census
+
+    calls = dict.fromkeys(("compose_disc", "linearly_disjoint", "delta"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(census, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(census, name, counted)
+    if y is None:
+        count_N(bundled, 3, C2, 10**6)
+    else:
+        count_N_truncated(bundled, 3, C2, 10**6, y)
+    assert calls == {
+        "compose_disc": 19_704, "linearly_disjoint": 19_764, "delta": 1_441
+    }
+
+
+def test_record_caches_are_built_on_first_access():
+    data = ingest(str(FIXTURE))
+    assert not any(
+        "local_by_prime" in vars(r) or "fundamental_disc" in vars(r)
+        for r in data.records
+    )
+    rec = data.get("3.-104.1")
+    assert rec.local_at(13) is rec.local_by_prime[13] is rec.local[1]
+    assert rec.local_at(5) is None
+    assert rec.fundamental_disc == fundamental_discriminant(rec.disc) == -104

@@ -159,6 +159,15 @@ def test_tail_bound_epsilon_must_be_rational(capsys):
     assert exc.value.code == 2
 
 
+def test_tail_bound_comparator_underflow_is_an_error(capsys):
+    # (log y)^(m-1) * y^(beta+epsilon) is below the smallest float here
+    code, out, err = run(capsys, "tail-bound", "--d", "3", "--A", "C2",
+                         "--m", "2", "--Y", "1e300", "--beta=-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the comparator underflows to 0 at y = 1e+300\n"
+
+
 @pytest.mark.parametrize("option", ["--beta", "--epsilon"])
 def test_tail_bound_negative_rational_as_separate_value(capsys, option):
     base = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16",
@@ -344,15 +353,25 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          json.dumps({"bins": [{"classes": ["3"], "q": 1, "exponent": "abc"}]})),
         (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "inf"], None),
         (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "nan"], None),
+        (["census", "--d", "3", "--A", "C2", "--X", "100", "--dataset"],
+         b"\xff\xfe not text"),
+        (["census", "--d", "3", "--A", "C2", "--X", "100", "--wild-overrides"],
+         b"\xff\xfe not text"),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         b"\xff\xfe not text"),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
-         "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan"],
+         "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan", "dataset-not-utf8",
+         "overrides-not-utf8", "spec-not-utf8"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):
     if file_text is not None:
         path = tmp_path / "input.json"
-        path.write_text(file_text)
+        if isinstance(file_text, bytes):
+            path.write_bytes(file_text)
+        else:
+            path.write_text(file_text)
         argv = argv + [str(path)]
     code, _, err = run(capsys, *argv)
     assert code == 1
