@@ -18,8 +18,9 @@ from sdxa.groups import (
     conjugacy_classes_product,
     cyclotomic_class_orbits,
     malle_invariants_product,
-    product_class_index,
+    regular_cycle_type,
 )
+from sdxa.perms import pair_index
 
 # ---------------------------------------------------------------------------
 # Every conjugacy class of S_3 x C2 is a (cycle type, element) pair.  Indices
@@ -27,7 +28,8 @@ from sdxa.groups import (
 # ---------------------------------------------------------------------------
 group = AbelianGroup.from_label("C2")
 for cls in conjugacy_classes_product(3, group, nontrivial_only=True):
-    print(f"class {str(cls):16s} index = {product_class_index(cls)}")
+    index = pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
+    print(f"class {str(cls):16s} index = {index}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -38,7 +40,10 @@ invariants = malle_invariants_product(3, group)
 print(f"a = {invariants.a}, exponent = {invariants.exponent}, b = {invariants.b}")
 
 classes = conjugacy_classes_product(3, group, nontrivial_only=True)
-minimal = [c for c in classes if product_class_index(c) == invariants.a]
+minimal = [
+    c for c in classes
+    if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == invariants.a
+]
 orbits = cyclotomic_class_orbits(3, group, minimal)
 print(f"minimal classes: {[str(c) for c in minimal]}, power-map orbits: {len(orbits)}")
 print()

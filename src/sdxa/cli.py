@@ -197,8 +197,6 @@ def cmd_tail_bound(args, out) -> int:
     rows = [["y", "r_start", "terms", "value", "comparator", "ratio"]]
     for y in args.Y:
         estimate = tail_series(beta_value, args.epsilon, args.m, y)
-        if not estimate.comparator:
-            raise DomainError(f"the comparator underflows to 0 at y = {y:g}")
         rows.append(
             [
                 f"{y:g}",

@@ -304,13 +304,6 @@ def conjugacy_classes_product(
     return classes
 
 
-def product_class_index(cls: ProductClass) -> int:
-    """Index of a product class in the natural degree-(d*|A|) action: the
-    pair index of its cycle type against the regular cycle type of its
-    abelian part."""
-    return pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
-
-
 def product_exponent(d: int, group: AbelianGroup) -> int:
     """Exponent of the product group: lcm of all cycle lengths <= d and of the
     abelian exponent."""
@@ -376,8 +369,9 @@ def malle_invariants_product(d: int, group: AbelianGroup) -> MalleInvariants:
     if d < 3:
         raise DomainError("the product model requires d >= 3")
     classes = conjugacy_classes_product(d, group, nontrivial_only=True)
-    minimal = min(product_class_index(c) for c in classes)
-    minimal_classes = [c for c in classes if product_class_index(c) == minimal]
+    indices = [pair_index(c.sd_part, regular_cycle_type(c.a_part)) for c in classes]
+    minimal = min(indices)
+    minimal_classes = [c for c, i in zip(classes, indices) if i == minimal]
     orbits = cyclotomic_class_orbits(d, group, minimal_classes)
     return MalleInvariants(a=minimal, exponent=Fraction(1, minimal), b=len(orbits))
 

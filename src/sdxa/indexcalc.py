@@ -77,11 +77,6 @@ def delta_closed_form(g: CycleType, h: CycleType, m: int, n: int) -> int:
     )
 
 
-def delta_class(cls: ProductClass, d: int, group: AbelianGroup) -> int:
-    """Discrepancy of a product class (convenience wrapper)."""
-    return delta(d, group, cls.sd_part, cls.a_part)
-
-
 @dataclass(frozen=True)
 class IndexComparison:
     """Both sides of the fundamental index inequality for a pair (g, h).
@@ -143,7 +138,7 @@ def theta(cls: ProductClass, d: int, group: AbelianGroup) -> Fraction:
     Always <= 0, with 0 exactly on equality cases and on classes with trivial
     abelian part.
     """
-    return Fraction(delta_class(cls, d, group), d) - ind(
+    return Fraction(delta(d, group, cls.sd_part, cls.a_part), d) - ind(
         regular_cycle_type(cls.a_part)
     )
 
@@ -239,7 +234,7 @@ def beta(params: TailParams) -> BetaResult:
         r_g = params.exponent_for(cls.sd_part)
         via_theta = Fraction(d, order) * theta(cls, d, group) + r_g
         via_delta = (
-            Fraction(delta_class(cls, d, group), order)
+            Fraction(delta(d, group, cls.sd_part, cls.a_part), order)
             - Fraction(d * ind(regular_cycle_type(cls.a_part)), order)
             + r_g
         )
@@ -297,20 +292,32 @@ class TailEstimate:
     terms: int
 
 
+def _exp_in_float_range(log_value: float, what: str, y: float) -> float:
+    """``exp(log_value)``, or DomainError where it leaves the float range."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} overflows at y = {y:g}") from None
+    if not value:
+        raise DomainError(f"{what} underflows to 0 at y = {y:g}")
+    return value
+
+
 def tail_series(
-    beta_value: Fraction | float,
-    epsilon: Fraction | float,
-    m: int,
-    y: float,
-    floor: float = 1e-15,
+    beta_value: Fraction | float, epsilon: Fraction | float, m: int, y: float
 ) -> TailEstimate:
-    """Evaluate the dyadic tail sum
+    """The dyadic tail sum, with x = 2^(beta+epsilon), r0 = max(0,
+    ceil(log2(y) - m)) and n = r0 + m - 1, in its finite form
 
-        sum_{r >= r0} C(r + m - 1, m - 1) * (2^(beta+epsilon))^r,
-        r0 = max(0, ceil(log2(y) - m)),
+        sum_{r >= r0} C(r + m - 1, m - 1) * x^r
+            = (1 - x)^(-m) * P[Bin(n, x) >= r0]
+            = sum_{k = r0}^{n} C(n, k) * x^k * (1 - x)^(n - k - m),
 
-    by direct summation until a term falls below ``floor`` times the running
-    sum, alongside the closed-form comparator ``(log y)^(m-1) * y^(beta+eps)``.
+    next to the comparator ``(log y)^(m-1) * y^(beta+eps)``.  The m terms
+    (so ``terms`` is m) are summed in log space with ``lgamma``, shifted by
+    the largest, and 1 - x is ``-expm1(e * ln 2)``; the comparator is formed
+    in log space too.  A value or comparator outside the float range raises
+    DomainError.
 
     >>> est = tail_series(Fraction(-1), Fraction(0), 2, 16.0)
     >>> round(est.value, 12)
@@ -328,17 +335,26 @@ def tail_series(
     if y <= 1:
         raise DomainError("cutoff y must exceed 1")
     r_start = max(0, math.ceil(math.log2(y) - m))
-    x = 2.0 ** float(exponent)
-    term = math.comb(r_start + m - 1, m - 1) * x**r_start
-    total = 0.0
-    r = r_start
-    while term > total * floor or r < r_start + m:
-        total += term
-        r += 1
-        term *= x * (r + m - 1) / r
-        if r > r_start + 10_000_000:
-            raise DomainError("series failed to converge within the iteration cap")
-    comparator = math.log(y) ** (m - 1) * y ** float(exponent)
+    e = float(exponent)
+    log_x = e * math.log(2)
+    q = -math.expm1(log_x)
+    if not q:  # x is 1.0 in floats, so (1 - x)^(-m) is past every float
+        raise DomainError(f"the tail value overflows at y = {y:g}")
+    log_q = math.log(q)
+    n = r_start + m - 1
+    logs = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * log_x + (n - k - m) * log_q
+        for k in range(r_start, n + 1)
+    ]
+    top = max(logs)
+    log_value = top + math.log(math.fsum(math.exp(t - top) for t in logs))
+    comparator = _exp_in_float_range(
+        (m - 1) * math.log(math.log(y)) + e * math.log(y), "the comparator", y
+    )
     return TailEstimate(
-        value=total, comparator=comparator, r_start=r_start, terms=r - r_start
+        value=_exp_in_float_range(log_value, "the tail value", y),
+        comparator=comparator,
+        r_start=r_start,
+        terms=m,
     )

@@ -262,15 +262,6 @@ def _iota_orbit_sizes(iota: Permutation, points: list[int]) -> list[int]:
     return sizes
 
 
-def disc_valuation(g: CycleType) -> int:
-    """Discriminant valuation at a tame prime with inertia class ``g``.
-
-    >>> disc_valuation(CycleType((2, 2, 1)))
-    2
-    """
-    return ind(g)
-
-
 def disc_valuation_pair(
     g: CycleType, h: AbelianElement, d: int, group: AbelianGroup
 ) -> int:
@@ -368,7 +359,7 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
                 generator=g,
                 f_splitting=tuple(f_patterns),
                 fk_splitting=tuple(fk_patterns),
-                v_disc_f=disc_valuation(g),
+                v_disc_f=ind(g),
                 v_disc_fk=disc_valuation_pair(g, generator, d, group),
                 delta=delta(d, group, g, generator),
             )

@@ -42,7 +42,6 @@ from sdxa.groups import (
     element_order,
     galois_orbits,
     malle_invariants_product,
-    product_class_index,
     regular_cycle_type,
     regular_permutation,
 )
@@ -272,7 +271,10 @@ def test_criterion_5_counting_invariants():
                 # Brute force: the transposition paired with the identity is
                 # the unique class of minimal index, and that index is |A|.
                 classes = conjugacy_classes_product(d, group, nontrivial_only=True)
-                indices = {cls: product_class_index(cls) for cls in classes}
+                indices = {
+                    cls: pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
+                    for cls in classes
+                }
                 assert min(indices.values()) == order
                 minimal = [cls for cls, value in indices.items() if value == order]
                 assert minimal == [ProductClass(transposition, group.identity())]

@@ -3,10 +3,15 @@ formats, and determinism.  All invocations go through ``main(argv)``."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdxa import cli
 from sdxa.census import ingest
@@ -353,6 +358,8 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          json.dumps({"bins": [{"classes": ["3"], "q": 1, "exponent": "abc"}]})),
         (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "inf"], None),
         (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "nan"], None),
+        (["tail-bound", "--d", "3", "--A", "C2", "--m", "200", "--Y", "1e300",
+          "--beta=-1/2"], None),
         (["census", "--d", "3", "--A", "C2", "--X", "100", "--dataset"],
          b"\xff\xfe not text"),
         (["census", "--d", "3", "--A", "C2", "--X", "100", "--wild-overrides"],
@@ -361,7 +368,8 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          b"\xff\xfe not text"),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
-         "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan", "dataset-not-utf8",
+         "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
+         "tail-comparator-overflow", "dataset-not-utf8",
          "overrides-not-utf8", "spec-not-utf8"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
@@ -377,6 +385,27 @@ def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@settings(deadline=None)
+@example(m=200, y=1e300, beta=Fraction(-1, 2))
+@given(
+    m=st.integers(min_value=1, max_value=300),
+    y=st.floats(min_value=1, max_value=1e308, exclude_min=True),
+    beta=st.fractions(min_value=-10, max_value=Fraction(-1, 10**6),
+                      max_denominator=10**6),
+)
+def test_tail_bound_exits_0_or_1_for_every_bounded_input(m, y, beta):
+    # Contract: a result (exit 0) or one error line (exit 1), never a
+    # traceback, for m in 1..300, y in (1, 1e308] and beta in [-10, -1e-6].
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tail-bound", "--d", "3", "--A", "C2", "--m", str(m),
+                         "--Y", repr(y), f"--beta={beta}"])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from sdxa.groups import (
     element_order,
     galois_orbits,
     malle_invariants_product,
-    product_class_index,
     regular_cycle_type,
     regular_permutation,
 )
@@ -154,7 +153,7 @@ class TestProductClasses:
             for d in (3, 4, 5):
                 inv = malle_invariants_product(d, group)
                 indices = [
-                    product_class_index(c)
+                    pair_index(c.sd_part, regular_cycle_type(c.a_part))
                     for c in conjugacy_classes_product(d, group)
                 ]
                 assert min(indices) == inv.a
@@ -193,7 +192,7 @@ class TestMalleInvariants:
                 minimal = [
                     c
                     for c in conjugacy_classes_product(d, group)
-                    if product_class_index(c) == inv.a
+                    if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == inv.a
                 ]
                 assert minimal == [ProductClass(transposition, group.identity())]
 

@@ -6,10 +6,12 @@ defining formulas before the implementation existed; the dual-route checks
 separate so a bug cannot hide by cancelling itself.
 """
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdxa.errors import (
@@ -30,7 +32,6 @@ from sdxa.indexcalc import (
     TailParams,
     beta,
     delta,
-    delta_class,
     delta_closed_form,
     equality_cases,
     exponent_presets,
@@ -54,6 +55,24 @@ def geometric_tail_oracle(x: Fraction, m: int, r_start: int) -> Fraction:
     total = (1 - x) ** -m
     head = sum(comb(r + m - 1, m - 1) * x**r for r in range(r_start))
     return total - head
+
+
+def _loop_tail(exponent: Fraction, m: int, y: float, floor: float = 1e-15) -> float:
+    """The dyadic tail summed term by term from r0 until a term falls below
+    ``floor`` times the running sum: the float route that ``tail_series``
+    replaced with its finite form, kept as a differential oracle."""
+    r_start = max(0, math.ceil(math.log2(y) - m))
+    x = 2.0 ** float(exponent)
+    term = math.comb(r_start + m - 1, m - 1) * x**r_start
+    total = 0.0
+    r = r_start
+    while term > total * floor or r < r_start + m:
+        total += term
+        r += 1
+        term *= x * (r + m - 1) / r
+        if r > r_start + 10_000_000:
+            raise DomainError("series failed to converge within the iteration cap")
+    return total
 
 
 class TestDelta:
@@ -353,6 +372,39 @@ class TestTailSeries:
         est = tail_series(Fraction(-k), Fraction(0), m, float(2**log2_y))
         oracle = geometric_tail_oracle(Fraction(1, 2**k), m, est.r_start)
         assert est.value == pytest.approx(float(oracle), rel=1e-9)
+
+    @settings(deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(-1, 1000)),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=2.0**4, max_value=2.0**64),
+    )
+    def test_matches_term_by_term_loop(self, exponent, m, y):
+        est = tail_series(exponent, Fraction(0), m, y)
+        assert est.terms == m
+        assert est.value == pytest.approx(_loop_tail(exponent, m, y), rel=1e-9)
+
+    def test_exponent_near_zero_is_finite_and_fast(self):
+        # At exponent -1e-6 the term-by-term loop ran into its 10^7-term
+        # cap; the finite form has m = 2 terms.
+        exponent = Fraction(-1, 10**6)
+        start = time.perf_counter()
+        est = tail_series(exponent, Fraction(0), 2, 16.0)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(est.value) and est.terms == 2
+        # a rational x whose 1 - x is the float 1 - 2^exponent; rel 1e-12
+        # fails if 1 - x is taken as 1 - exp(...), which is off by 6e-11
+        x = 1 - Fraction(-math.expm1(float(exponent) * math.log(2)))
+        oracle = geometric_tail_oracle(x, 2, est.r_start)
+        assert est.value == pytest.approx(float(oracle), rel=1e-12)
+
+    def test_tail_value_past_the_float_range_is_an_error(self):
+        # (1 - x)^-m alone is about 10^366 here
+        with pytest.raises(DomainError, match="the tail value overflows"):
+            tail_series(Fraction(-1, 10**9), Fraction(0), 40, 16.0)
+        # 1 - x is 0 in floats: (1 - x)^-m is past every float
+        with pytest.raises(DomainError, match="the tail value overflows"):
+            tail_series(Fraction(-1, 10**400), Fraction(0), 2, 16.0)
 
 
 class TestExponentPresets:

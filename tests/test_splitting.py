@@ -18,7 +18,6 @@ from sdxa.perms import CycleType, ind, pair_cycle_count, pair_index, partitions
 from sdxa.splitting import (
     SplittingPattern,
     decomposition_patterns,
-    disc_valuation,
     disc_valuation_pair,
     format_pattern,
     generate_table,
@@ -166,8 +165,11 @@ class TestDecompositionPatterns:
 
 class TestValuationFunctions:
     def test_disc_valuation_examples(self):
-        assert disc_valuation(CycleType((2, 2, 1))) == 2
-        assert disc_valuation(CycleType((1, 1))) == 0
+        # the tame discriminant valuation of F is ind(g)
+        assert ind(CycleType((2, 2, 1))) == 2
+        assert ind(CycleType((1, 1))) == 0
+        table = generate_table(3, AbelianGroup.from_label("C2"))
+        assert all(row.v_disc_f == ind(row.generator) for row in table.rows)
 
     def test_disc_valuation_pair_example(self):
         c2 = AbelianGroup.from_label("C2")
