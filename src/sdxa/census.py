@@ -603,7 +603,8 @@ def _count(
 ) -> CensusResult:
     """The pair loop behind :func:`count_N` and :func:`count_N_truncated`:
     exact pairs are counted by their composed magnitude, or by their
-    :func:`truncated_magnitude` when a prime cutoff ``y`` is given."""
+    :func:`truncated_magnitude` when a prime cutoff ``y`` is given.  An x
+    past the float range has no fit constant and raises DomainError."""
     if x < 1:
         raise DomainError("x must be a positive integer")
     if y is not None:
@@ -612,6 +613,10 @@ def _count(
             raise DomainError(
                 f"cutoff y = {y} must exceed the wild modulus |A| * d! = {modulus}"
             )
+    try:
+        scale = x ** (1 / group.order)
+    except OverflowError:
+        raise DomainError("x is beyond the float range") from None
     count = 0
     flagged = 0
     for f_record, k_record in iter_census_pairs(dataset, d, group):
@@ -630,7 +635,7 @@ def _count(
         x=x,
         count=count,
         flagged_wild_pairs=flagged,
-        fit_constant=count / x ** (1 / group.order),
+        fit_constant=count / scale,
         warnings=tuple(_coverage_warnings(dataset, d, group, x)),
         y=y,
     )
@@ -727,7 +732,8 @@ def measure_uniformity(
     fields with |disc| < x weighted by the number of ways to pick, for every
     bin, a squarefree product of that bin's designated tame primes inside the
     bin's dyadic range.  When every bin carries an exponent the ratio against
-    x * prod(q^exponent) is reported alongside.
+    x * prod(q^exponent) is reported alongside.  An x below 1, or a
+    comparator outside the float range, raises DomainError.
     """
     seen: set[CycleType] = set()
     for item in bins:
@@ -742,6 +748,8 @@ def measure_uniformity(
     records = dataset.by_group(f"S{d}")
     rows: list[UniformityRow] = []
     for x in sorted(x_values):
+        if x < 1:
+            raise DomainError("x must be a positive integer")
         total = 0
         for record in records:
             if abs(record.disc) >= x:
@@ -759,9 +767,14 @@ def measure_uniformity(
             total += weight
         ratio: float | None = None
         if all(item.exponent is not None for item in bins):
-            comparator = float(x)
-            for item in bins:
-                comparator *= float(item.q) ** float(item.exponent)  # type: ignore[arg-type]
+            try:
+                comparator = float(x)
+                for item in bins:
+                    comparator *= float(item.q) ** float(item.exponent)  # type: ignore[arg-type]
+            except OverflowError:
+                comparator = math.inf
+            if not 0 < comparator < math.inf:
+                raise DomainError(f"the comparator leaves the float range at x = {x}")
             ratio = total / comparator
         rows.append(UniformityRow(x=x, count=total, ratio=ratio))
     return rows

@@ -13,6 +13,13 @@ Subcommands:
 * ``compose``       per-prime composition breakdown for one pair of records
 * ``uniformity``    dyadic-range configuration counts over a dataset
 
+Each ``cmd_*`` computes its result and hands :func:`_render` heading lines,
+table rows (header first) and trailer lines.  All but ``verify-lemmas`` take
+``--format {plain,tsv}``: plain prints the heading and then the rows as a
+space-aligned table (``invariants`` and ``census`` print their heading as
+prose and no table), tsv prints only the tab-separated rows.  Trailer lines,
+the ``#`` magnitude lines of ``compose``, are printed in both formats.
+
 Exit codes: 0 on success, 1 on any library error (bad data, domain errors),
 2 on command-line usage errors.
 """
@@ -23,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from importlib.resources import files
 
@@ -69,83 +77,71 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _emit(rows: list[list[str]], fmt: str, out) -> None:
+def _render(fmt: str, rows: list[list], heading: Sequence[str] = (),
+            trailer: Sequence[str] = (), plain_table: bool = True) -> int:
+    """Print one command's output to stdout and return exit code 0.
+
+    ``rows`` is the table, header first; each cell is printed as ``str``.
+    Plain: the heading lines, then the table space-aligned (unless
+    ``plain_table`` is false).  Tsv: the table tab-separated, no heading.
+    Both: the trailer lines."""
+    table = [[str(cell) for cell in row] for row in rows]
     if fmt == "tsv":
-        for row in rows:
-            print("\t".join(row), file=out)
+        lines = ["\t".join(row) for row in table]
     else:
-        widths = [
-            max(len(row[i]) for row in rows) for i in range(len(rows[0]))
-        ]
-        for row in rows:
-            print(
-                "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-                .rstrip(),
-                file=out,
-            )
+        lines = list(heading)
+        if plain_table:
+            widths = [max(map(len, column)) for column in zip(*table)]
+            lines += [
+                "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                for row in table
+            ]
+    for line in [*lines, *trailer]:
+        print(line)
+    return 0
 
 
-def cmd_invariants(args, out) -> int:
+def cmd_invariants(args) -> int:
     group = AbelianGroup.from_label(args.A)
     inv = malle_invariants_product(args.d, group)
     a_abelian, b_abelian = abelian_counting_constants(group)
     product_order = group.order * math.factorial(args.d)
-    rows = [
-        ["d", "A", "group_order", "a", "exponent", "b", "a_A", "b_A"],
-        [
-            str(args.d),
-            group.label(),
-            str(product_order),
-            str(inv.a),
-            str(inv.exponent),
-            str(inv.b),
-            str(a_abelian),
-            str(b_abelian),
+    return _render(
+        args.format,
+        [["d", "A", "group_order", "a", "exponent", "b", "a_A", "b_A"],
+         [args.d, group.label(), product_order, inv.a, inv.exponent, inv.b, a_abelian,
+          b_abelian]],
+        heading=[
+            f"product group: S{args.d} x {group.label()} (order {product_order})",
+            "count of fields below X grows like a(K) * X^exponent * "
+            "(log X)^(b-1) with:",
+            f"  a (minimal index)   = {inv.a}",
+            f"  exponent            = {inv.exponent}",
+            f"  b (minimal orbits)  = {inv.b}",
+            f"abelian comparison point ({group.label()} alone): "
+            f"a_A = {a_abelian}, b_A = {b_abelian}",
         ],
-    ]
-    if args.format == "tsv":
-        _emit(rows, "tsv", out)
-    else:
-        print(f"product group: S{args.d} x {group.label()} "
-              f"(order {product_order})", file=out)
-        print(f"count of fields below X grows like a(K) * X^exponent * "
-              f"(log X)^(b-1) with:", file=out)
-        print(f"  a (minimal index)   = {inv.a}", file=out)
-        print(f"  exponent            = {inv.exponent}", file=out)
-        print(f"  b (minimal orbits)  = {inv.b}", file=out)
-        print(f"abelian comparison point ({group.label()} alone): "
-              f"a_A = {a_abelian}, b_A = {b_abelian}", file=out)
-    return 0
+        plain_table=False,
+    )
 
 
-def cmd_delta_table(args, out) -> int:
+def cmd_delta_table(args) -> int:
     group = AbelianGroup.from_label(args.A)
     table = generate_table(args.d, group)
-    rows = [
-        ["generator", "f_patterns", "fk_patterns", "v_disc_f", "v_disc_fk", "delta"]
-    ]
+    rows = [["generator", "f_patterns", "fk_patterns", "v_disc_f", "v_disc_fk",
+             "delta"]]
     for row in table.rows:
-        rows.append(
-            [
-                ".".join(str(p) for p in row.generator.parts),
-                ", ".join(str(p) for p in row.f_splitting),
-                ", ".join(str(p) for p in row.fk_splitting),
-                str(row.v_disc_f),
-                str(row.v_disc_fk),
-                str(row.delta),
-            ]
-        )
-    if args.format == "plain":
-        print(
-            f"reference valuation table: d={table.d}, A={args.A}, "
-            f"delta_cap={table.delta_cap}",
-            file=out,
-        )
-    _emit(rows, args.format, out)
-    return 0
+        rows.append([".".join(map(str, row.generator.parts)),
+                     ", ".join(map(str, row.f_splitting)),
+                     ", ".join(map(str, row.fk_splitting)),
+                     row.v_disc_f, row.v_disc_fk, row.delta])
+    return _render(args.format, rows, heading=[
+        f"reference valuation table: d={table.d}, A={args.A}, "
+        f"delta_cap={table.delta_cap}"
+    ])
 
 
-def cmd_verify_lemmas(args, out) -> int:
+def cmd_verify_lemmas(args) -> int:
     group = AbelianGroup.from_label(args.A)
     checked = 0
     failures: list[str] = []
@@ -168,136 +164,95 @@ def cmd_verify_lemmas(args, out) -> int:
     catalogue = {str(cls) for cls in equality_cases(args.d, group)}
     if set(equalities) != catalogue:
         failures.append("equality catalogue disagrees with direct scan")
-    print(
+    lines = [
         f"d={args.d} A={group.label()}: checked {checked} classes with "
         f"nontrivial abelian part",
-        file=out,
-    )
-    print(
         "equality classes: " + (", ".join(sorted(equalities)) or "(none)"),
-        file=out,
-    )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("index lower bound, divisibility criterion, unit deficit, "
-          "theta <= 0: all verified", file=out)
-    return 0
+    ]
+    if not failures:
+        lines.append("index lower bound, divisibility criterion, unit deficit, "
+                     "theta <= 0: all verified")
+    _render("plain", [], heading=lines)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
-def cmd_tail_bound(args, out) -> int:
+def cmd_tail_bound(args) -> int:
     group = AbelianGroup.from_label(args.A)
-    result = None
+    attained: list[str] = []
     if args.beta is None:
         presets = exponent_presets(args.d, args.epsilon)
-        params = TailParams(args.d, group, presets, epsilon=args.epsilon)
-        result = beta(params)
-    beta_value = args.beta if args.beta is not None else result.value
+        result = beta(TailParams(args.d, group, presets, epsilon=args.epsilon))
+        beta_value, origin = result.value, "preset"
+        attained.append("attained on: " + ", ".join(map(str, result.attained)))
+    else:
+        beta_value, origin = args.beta, "explicit"
     rows = [["y", "r_start", "terms", "value", "comparator", "ratio"]]
     for y in args.Y:
-        estimate = tail_series(beta_value, args.epsilon, args.m, y)
-        rows.append(
-            [
-                f"{y:g}",
-                str(estimate.r_start),
-                str(estimate.terms),
-                f"{estimate.value:.6e}",
-                f"{estimate.comparator:.6e}",
-                f"{estimate.value / estimate.comparator:.4f}",
-            ]
-        )
-    if args.format == "plain":
-        origin = "explicit" if args.beta is not None else "preset"
-        print(
-            f"beta = {beta_value} ({origin}), epsilon = {args.epsilon}, "
-            f"m = {args.m}, series exponent beta + epsilon = "
-            f"{Fraction(beta_value) + args.epsilon}",
-            file=out,
-        )
-        if result is not None:
-            attained = ", ".join(str(cls) for cls in result.attained)
-            print(f"attained on: {attained}", file=out)
-    _emit(rows, args.format, out)
-    return 0
+        est = tail_series(beta_value, args.epsilon, args.m, y)
+        rows.append([f"{y:g}", est.r_start, est.terms, f"{est.value:.6e}",
+                     f"{est.comparator:.6e}", f"{est.value / est.comparator:.4f}"])
+    return _render(args.format, rows, heading=[
+        f"beta = {beta_value} ({origin}), epsilon = {args.epsilon}, "
+        f"m = {args.m}, series exponent beta + epsilon = "
+        f"{Fraction(beta_value) + args.epsilon}",
+        *attained,
+    ])
 
 
-def _load_overrides(path: str | None) -> WildOverrides | None:
-    return WildOverrides.load(path) if path else None
-
-
-def cmd_census(args, out) -> int:
+def cmd_census(args) -> int:
     dataset = ingest(args.dataset)
     group = AbelianGroup.from_label(args.A)
-    overrides = _load_overrides(args.wild_overrides)
+    overrides = WildOverrides.load(args.wild_overrides) if args.wild_overrides else None
     if args.Y is not None:
         result = count_N_truncated(dataset, args.d, group, args.X, args.Y, overrides)
     else:
         result = count_N(dataset, args.d, group, args.X, overrides)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.format == "tsv":
-        rows = [
-            ["x", "y", "count", "flagged_wild_pairs", "fit_constant"],
-            [
-                str(result.x),
-                "" if result.y is None else str(result.y),
-                str(result.count),
-                str(result.flagged_wild_pairs),
-                f"{result.fit_constant:.6g}",
-            ],
-        ]
-        _emit(rows, "tsv", out)
-    else:
-        counts = dataset.group_counts()
-        summary = ", ".join(f"{g}={n}" for g, n in sorted(counts.items()))
-        print(f"dataset: {args.dataset} ({summary})", file=out)
-        scope = f"truncated at y = {result.y}" if result.y is not None else "exact"
-        print(f"count below X = {result.x} ({scope}): {result.count}", file=out)
-        print(f"flagged wild-overlap pairs: {result.flagged_wild_pairs}", file=out)
-        print(
-            f"fit constant count / X^(1/{group.order}) = "
-            f"{result.fit_constant:.6g}",
-            file=out,
-        )
-    return 0
+    counts = ", ".join(f"{g}={n}" for g, n in sorted(dataset.group_counts().items()))
+    scope = f"truncated at y = {result.y}" if result.y is not None else "exact"
+    fit = f"{result.fit_constant:.6g}"
+    return _render(
+        args.format,
+        [["x", "y", "count", "flagged_wild_pairs", "fit_constant"],
+         [result.x, "" if result.y is None else result.y, result.count,
+          result.flagged_wild_pairs, fit]],
+        heading=[
+            f"dataset: {args.dataset} ({counts})",
+            f"count below X = {result.x} ({scope}): {result.count}",
+            f"flagged wild-overlap pairs: {result.flagged_wild_pairs}",
+            f"fit constant count / X^(1/{group.order}) = {fit}",
+        ],
+        plain_table=False,
+    )
 
 
-def cmd_compose(args, out) -> int:
+def cmd_compose(args) -> int:
     dataset = ingest(args.dataset)
     f_record = dataset.get(args.F)
     k_record = dataset.get(args.K)
-    overrides = _load_overrides(args.wild_overrides)
+    overrides = WildOverrides.load(args.wild_overrides) if args.wild_overrides else None
     result = compose_disc(f_record, k_record, overrides)
     disjoint = linearly_disjoint(f_record, k_record)
-    rows = [["prime", "v_f", "v_k", "delta_p", "v_fk"]]
-    for entry in result.breakdown:
-        rows.append(
-            [
-                str(entry.prime),
-                str(entry.v_f),
-                str(entry.v_k),
-                "?" if entry.delta_p is None else str(entry.delta_p),
-                str(entry.v_fk),
-            ]
-        )
-    if args.format == "plain":
-        print(f"F = {f_record.label} ({f_record.group}, disc {f_record.disc})",
-              file=out)
-        print(f"K = {k_record.label} ({k_record.group}, disc {k_record.disc})",
-              file=out)
-        print(f"linearly disjoint: {'yes' if disjoint else 'no'}", file=out)
-    _emit(rows, args.format, out)
+    rows = [["prime", "v_f", "v_k", "delta_p", "v_fk"]] + [
+        [e.prime, e.v_f, e.v_k, "?" if e.delta_p is None else e.delta_p, e.v_fk]
+        for e in result.breakdown
+    ]
     if result.exact:
-        print(f"# magnitude = {result.magnitude} (exact)", file=out)
+        trailer = [f"# magnitude = {result.magnitude} (exact)"]
     else:
-        unresolved = ", ".join(str(p) for p in result.unresolved_primes)
-        print(f"# unresolved wild overlap at: {unresolved}", file=out)
-        print(
+        unresolved = ", ".join(map(str, result.unresolved_primes))
+        trailer = [
+            f"# unresolved wild overlap at: {unresolved}",
             f"# magnitude in [{result.lower_bound}, {result.naive_magnitude}]",
-            file=out,
-        )
-    return 0
+        ]
+    return _render(args.format, rows, trailer=trailer, heading=[
+        f"F = {f_record.label} ({f_record.group}, disc {f_record.disc})",
+        f"K = {k_record.label} ({k_record.group}, disc {k_record.disc})",
+        f"linearly disjoint: {'yes' if disjoint else 'no'}",
+    ])
 
 
 def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
@@ -326,42 +281,19 @@ def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
     ]
 
 
-def cmd_uniformity(args, out) -> int:
+def cmd_uniformity(args) -> int:
     dataset = ingest(args.dataset)
     bins = _parse_uniformity_spec(args.uniformity_spec)
-    rows_out = measure_uniformity(dataset, args.d, bins, args.X)
-    if args.format == "plain":
-        described = "; ".join(
-            "{" + ", ".join(sorted(str(ct) for ct in b.classes)) + "}"
-            f" q={b.q}" + (f" exponent={b.exponent}" if b.exponent is not None else "")
-            for b in bins
-        )
-        print(f"bins: {described}", file=out)
-    rows = [["x", "count", "ratio"]]
-    for row in rows_out:
-        rows.append(
-            [
-                str(row.x),
-                str(row.count),
-                "" if row.ratio is None else f"{row.ratio:.6g}",
-            ]
-        )
-    _emit(rows, args.format, out)
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser, *, d: bool = False,
-                a: bool = False, dataset: bool = False) -> None:
-    if d:
-        parser.add_argument("--d", type=int, required=True,
-                            help="degree of the symmetric-group side")
-    if a:
-        parser.add_argument("--A", required=True,
-                            help="abelian group label, e.g. C2 or C2xC4")
-    if dataset:
-        parser.add_argument("--dataset", default=bundled_fixture_path(),
-                            help="record file (default: bundled fixture)")
-    parser.add_argument("--format", choices=("plain", "tsv"), default="plain")
+    rows = [["x", "count", "ratio"]] + [
+        [row.x, row.count, "" if row.ratio is None else f"{row.ratio:.6g}"]
+        for row in measure_uniformity(dataset, args.d, bins, args.X)
+    ]
+    described = "; ".join(
+        "{" + ", ".join(sorted(str(ct) for ct in b.classes)) + "}"
+        f" q={b.q}" + (f" exponent={b.exponent}" if b.exponent is not None else "")
+        for b in bins
+    )
+    return _render(args.format, rows, heading=[f"bins: {described}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,23 +305,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="counting constants for S_d x A")
-    _add_common(p, d=True, a=True)
-    p.set_defaults(func=cmd_invariants)
+    def command(name, func, help_text, *, d=True, a=True, dataset=False,
+                fmt=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if d:
+            p.add_argument("--d", type=int, required=True,
+                           help="degree of the symmetric-group side")
+        if a:
+            p.add_argument("--A", required=True,
+                           help="abelian group label, e.g. C2 or C2xC4")
+        if dataset:
+            p.add_argument("--dataset", default=bundled_fixture_path(),
+                           help="record file (default: bundled fixture)")
+        if fmt:
+            p.add_argument("--format", choices=("plain", "tsv"), default="plain")
+        return p
 
-    p = sub.add_parser("delta-table",
-                       help="valuation/discrepancy table (prime-order A)")
-    _add_common(p, d=True, a=True)
-    p.set_defaults(func=cmd_delta_table)
+    command("invariants", cmd_invariants, "counting constants for S_d x A")
+    command("delta-table", cmd_delta_table,
+            "valuation/discrepancy table (prime-order A)")
+    command("verify-lemmas", cmd_verify_lemmas,
+            "re-verify index comparison invariants", fmt=False)
 
-    p = sub.add_parser("verify-lemmas",
-                       help="re-verify index comparison invariants")
-    _add_common(p, d=True, a=True)
-    p.set_defaults(func=cmd_verify_lemmas)
-
-    p = sub.add_parser("tail-bound",
-                       help="combined exponent and dyadic tail series")
-    _add_common(p, d=True, a=True)
+    p = command("tail-bound", cmd_tail_bound,
+                "combined exponent and dyadic tail series")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 1000),
                    help="slack exponent, an exact rational like 1/1000")
     p.add_argument("--m", type=int, required=True,
@@ -398,35 +338,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series cutoff(s)")
     p.add_argument("--beta", type=_fraction, default=None,
                    help="explicit combined exponent (skips the preset)")
-    p.set_defaults(func=cmd_tail_bound)
 
-    p = sub.add_parser("census", help="count composed pairs below a cutoff")
-    _add_common(p, d=True, a=True, dataset=True)
+    p = command("census", cmd_census, "count composed pairs below a cutoff",
+                dataset=True)
     p.add_argument("--X", type=int, required=True, help="discriminant cutoff")
     p.add_argument("--Y", type=int, default=None,
                    help="prime cutoff for the truncated count")
     p.add_argument("--wild-overrides", default=None,
                    help="JSON file of wild-overlap discrepancies")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("compose",
-                       help="per-prime composition breakdown for one pair")
-    _add_common(p, dataset=True)
+    p = command("compose", cmd_compose,
+                "per-prime composition breakdown for one pair",
+                d=False, a=False, dataset=True)
     p.add_argument("--F", required=True, help="label of the degree-d record")
     p.add_argument("--K", required=True, help="label of the abelian record")
     p.add_argument("--wild-overrides", default=None,
                    help="JSON file of wild-overlap discrepancies")
-    p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("uniformity",
-                       help="dyadic-range configuration counts")
-    _add_common(p, d=True, dataset=True)
+    p = command("uniformity", cmd_uniformity,
+                "dyadic-range configuration counts", a=False, dataset=True)
     p.add_argument("--uniformity-spec", required=True,
                    help="JSON file describing the dyadic bins")
     p.add_argument("--X", type=int, required=True, action="append",
                    help="cutoff (repeatable)")
-    p.set_defaults(func=cmd_uniformity)
-
     return parser
 
 
@@ -450,11 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
     )
     try:
-        return args.func(args, sys.stdout)
-    except SdxaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.func(args)
+    except (SdxaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -316,8 +316,8 @@ def tail_series(
     next to the comparator ``(log y)^(m-1) * y^(beta+eps)``.  The m terms
     (so ``terms`` is m) are summed in log space with ``lgamma``, shifted by
     the largest, and 1 - x is ``-expm1(e * ln 2)``; the comparator is formed
-    in log space too.  A value or comparator outside the float range raises
-    DomainError.
+    in log space too.  A value or comparator outside the float range, or an
+    exponent below it, raises DomainError.
 
     >>> est = tail_series(Fraction(-1), Fraction(0), 2, 16.0)
     >>> round(est.value, 12)
@@ -335,7 +335,10 @@ def tail_series(
     if y <= 1:
         raise DomainError("cutoff y must exceed 1")
     r_start = max(0, math.ceil(math.log2(y) - m))
-    e = float(exponent)
+    try:
+        e = float(exponent)
+    except OverflowError:  # e is below -1.8e308, so y^e is 0 for every y > 1
+        raise DomainError(f"the comparator underflows to 0 at y = {y:g}") from None
     log_x = e * math.log(2)
     q = -math.expm1(log_x)
     if not q:  # x is 1.0 in floats, so (1 - x)^(-m) is past every float

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,13 @@ def test_verify_lemmas_passes(capsys, d, label):
     assert code == 0
     assert "all verified" in out
     assert err == ""
+
+
+def test_verify_lemmas_takes_no_format(capsys):
+    # its output is the same lines in every format, so it has no --format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", "--d", "3", "--A", "C2", "--format", "tsv"])
+    assert exc.value.code == 2
 
 
 def test_verify_lemmas_reports_equality_classes(capsys):
@@ -366,11 +374,27 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          b"\xff\xfe not text"),
         (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
          b"\xff\xfe not text"),
+        (["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16",
+          "--beta=-1" + "0" * 400], None),
+        (["census", "--d", "3", "--A", "C2", "--X", "1" + "0" * 400], None),
+        (["uniformity", "--d", "3", "--X", "0", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "-1/2"}]})),
+        (["uniformity", "--d", "3", "--X", "-5", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "-1/2"}]})),
+        (["uniformity", "--d", "3", "--X", "1" + "0" * 400, "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "-1/2"}]})),
+        (["uniformity", "--d", "3", "--X", "2000", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "-100000"}]})),
+        (["uniformity", "--d", "3", "--X", "2000", "--uniformity-spec"],
+         json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "100000"}]})),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
          "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
          "tail-comparator-overflow", "dataset-not-utf8",
-         "overrides-not-utf8", "spec-not-utf8"],
+         "overrides-not-utf8", "spec-not-utf8", "tail-exponent-past-float",
+         "census-X-past-float", "spec-X-0", "spec-X-negative",
+         "spec-X-past-float", "spec-comparator-underflow",
+         "spec-comparator-overflow"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):
@@ -381,9 +405,9 @@ def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
         else:
             path.write_text(file_text)
         argv = argv + [str(path)]
-    code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert err.startswith("error:")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -406,6 +430,89 @@ def test_tail_bound_exits_0_or_1_for_every_bounded_input(m, y, beta):
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# exact layouts: one command per subcommand and format
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FROM_README = None  # the plain case is the README's example for these argv
+README_SPEC = {"bins": [{"classes": ["3"], "q": 8, "exponent": "-1/2"}]}
+
+
+def readme_examples() -> dict[str, str]:
+    """The `Command line` examples of the README: argv text -> stdout."""
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```text\n\$ sdxa (.*?)\n(.*?)```", section, re.S)
+    return {
+        argv: stdout.replace(".../sdxa/data/cubic_quadratic_fields.txt", FIXTURE)
+        for argv, stdout in blocks
+    }
+
+
+LAYOUTS = {
+    "invariants-plain": ("invariants --d 4 --A C2xC2", FROM_README),
+    "invariants-tsv": (
+        "invariants --d 4 --A C2xC2 --format tsv",
+        "d\tA\tgroup_order\ta\texponent\tb\ta_A\tb_A\n"
+        "4\tC2xC2\t96\t4\t1/4\t1\t1/2\t2\n",
+    ),
+    "delta-table-plain": ("delta-table --d 3 --A C3", FROM_README),
+    "delta-table-tsv": (
+        "delta-table --d 3 --A C3 --format tsv",
+        "generator\tf_patterns\tfk_patterns\tv_disc_f\tv_disc_fk\tdelta\n"
+        "2.1\t(1^2 1)\t(1^6 1^3)\t1\t7\t2\n"
+        "3\t(1^3)\t(1^3 1^3 1^3), (3^3)\t2\t6\t6\n",
+    ),
+    "verify-lemmas-plain": ("verify-lemmas --d 4 --A C2", FROM_README),
+    "tail-bound-plain": ("tail-bound --d 3 --A C2 --m 2 --Y 65536", FROM_README),
+    "tail-bound-tsv": (
+        "tail-bound --d 3 --A C2 --m 2 --Y 16 65536 --format tsv",
+        "y\tr_start\tterms\tvalue\tcomparator\tratio\n"
+        "16\t2\t2\t9.319154e+00\t6.970015e-01\t13.3703\n"
+        "65536\t14\t2\t4.755064e-01\t4.429334e-02\t10.7354\n",
+    ),
+    "census-plain": ("census --d 3 --A C2 --X 1000000", FROM_README),
+    "census-tsv": (
+        "census --d 3 --A C2 --X 1000000 --format tsv",
+        "x\ty\tcount\tflagged_wild_pairs\tfit_constant\n"
+        "1000000\t\t59\t113\t0.059\n",
+    ),
+    "compose-plain": ("compose --F 3.-23.1 --K 2.-4.1", FROM_README),
+    "compose-tsv": (
+        "compose --F 3.-104.1 --K 2.8.1 --format tsv",
+        "prime\tv_f\tv_k\tdelta_p\tv_fk\n"
+        "2\t3\t3\t?\t15\n"
+        "13\t1\t0\t0\t2\n"
+        "# unresolved wild overlap at: 2\n"
+        "# magnitude in [86528, 5537792]\n",
+    ),
+    "uniformity-plain": (
+        "uniformity --d 3 --uniformity-spec {spec} --X 500 --X 2000",
+        "bins: {(3)} q=8 exponent=-1/2\n"
+        "x     count  ratio\n"
+        "500   1      0.00565685\n"
+        "2000  5      0.00707107\n",
+    ),
+    "uniformity-tsv": (
+        "uniformity --d 3 --uniformity-spec {spec} --X 500 --X 2000 --format tsv",
+        "x\tcount\tratio\n"
+        "500\t1\t0.00565685\n"
+        "2000\t5\t0.00707107\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,expected", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_exact_layout(capsys, tmp_path, argv, expected):
+    if expected is FROM_README:
+        expected = readme_examples()[argv]
+    spec = tmp_path / "bins.json"
+    spec.write_text(json.dumps(README_SPEC))
+    code, out, err = run(capsys, *argv.replace("{spec}", str(spec)).split())
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 # ---------------------------------------------------------------------------
