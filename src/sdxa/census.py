@@ -561,6 +561,13 @@ class CensusResult:
     y: int | None = None
 
 
+def missing_coverage(dataset: Dataset, label: str) -> list[str]:
+    """The warning, if any, that no coverage header names group ``label``."""
+    if label in dataset.coverage:
+        return []
+    return [f"no coverage assertion for group {label}"]
+
+
 def _coverage_warnings(
     dataset: Dataset, d: int, group: AbelianGroup, x: int
 ) -> list[str]:
@@ -568,9 +575,8 @@ def _coverage_warnings(
     coverage = dataset.coverage
     f_label, k_label = f"S{d}", group.label()
     for label, power in ((f_label, group.order), (k_label, d)):
-        if label not in coverage:
-            warnings.append(f"no coverage assertion for group {label}")
-        elif coverage[label] ** power < x:
+        warnings += missing_coverage(dataset, label)
+        if label in coverage and coverage[label] ** power < x:
             warnings.append(
                 f"X = {x} needs {label} records up to "
                 f"|disc| = {math.ceil(x ** (1 / power))}, coverage asserts only "
@@ -605,6 +611,8 @@ def _count(
     exact pairs are counted by their composed magnitude, or by their
     :func:`truncated_magnitude` when a prime cutoff ``y`` is given.  An x
     past the float range has no fit constant and raises DomainError."""
+    if d < 3:
+        raise DomainError("the product model requires d >= 3")
     if x < 1:
         raise DomainError("x must be a positive integer")
     if y is not None:

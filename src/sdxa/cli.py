@@ -43,6 +43,7 @@ from .census import (
     ingest,
     linearly_disjoint,
     measure_uniformity,
+    missing_coverage,
     read_text,
 )
 from .errors import DomainError, SdxaError
@@ -284,6 +285,8 @@ def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
 def cmd_uniformity(args) -> int:
     dataset = ingest(args.dataset)
     bins = _parse_uniformity_spec(args.uniformity_spec)
+    for warning in missing_coverage(dataset, f"S{args.d}"):
+        print(f"warning: {warning}", file=sys.stderr)
     rows = [["x", "count", "ratio"]] + [
         [row.x, row.count, "" if row.ratio is None else f"{row.ratio:.6g}"]
         for row in measure_uniformity(dataset, args.d, bins, args.X)

@@ -102,11 +102,11 @@ class Permutation:
                 continue
             cycle = [start]
             seen.add(start)
-            point = self(start)
+            point = self.images[start - 1]
             while point != start:
                 cycle.append(point)
                 seen.add(point)
-                point = self(point)
+                point = self.images[point - 1]
             out.append(tuple(cycle))
         return out
 
@@ -275,10 +275,9 @@ def product_embed(g: Permutation, h: Permutation) -> Permutation:
             f"product degree {m * n} exceeds the configured cap {MAX_PRODUCT_DEGREE}"
         )
     images = [0] * (m * n)
-    for i in range(1, m + 1):
-        gi = g(i)
-        for j in range(1, n + 1):
-            images[(i - 1) * n + j - 1] = (gi - 1) * n + h(j)
+    for i, gi in enumerate(g.images):
+        for j, hj in enumerate(h.images):
+            images[i * n + j] = (gi - 1) * n + hj
     return Permutation(tuple(images))
 
 

@@ -8,6 +8,10 @@ a Frobenius lift normalizing it.  Enumerating all group-theoretically possible
 Frobenius lifts yields every pattern compatible with a given inertia class;
 running that enumeration for the product action regenerates the package's
 golden valuation tables.
+
+A pair (sigma, tau) of S_d x A is a Frobenius lift for inertia (g, h) exactly
+when sigma g sigma^-1 = g^u for a unit u = 1 mod ord(h): sigma normalises <g>,
+and every translation tau works because it commutes with h.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import DegreeMismatchError, DomainError, PatternError
 from .groups import (
     AbelianElement,
     AbelianGroup,
+    element_order,
     factorize,
     regular_cycle_type,
     regular_permutation,
@@ -180,13 +185,18 @@ def decomposition_patterns(
 ) -> frozenset[SplittingPattern]:
     """Every splitting pattern compatible with inertia class (g, h).
 
-    The inertia generator is the product permutation of a fixed representative
-    of ``g`` with the translation action of ``h``.  Candidate Frobenius lifts
-    are all product-group permutations that conjugate the inertia generator to
-    a coprime power of itself (every unit class is admissible — each is hit by
-    infinitely many primes).  Each lift determines decomposition orbits; their
-    refinement into inertia orbits yields one (e, f) factor per decomposition
-    orbit.
+    The inertia generator iota is the product permutation of a fixed
+    representative of ``g`` with the translation action of ``h``.  Frobenius
+    lifts are the product-group permutations phi = (sigma, tau) conjugating
+    iota to a coprime power iota^u (every unit class is admissible — each is
+    hit by infinitely many primes).  Each lift's decomposition orbits, refined
+    into inertia orbits, give one (e, f) factor per decomposition orbit.
+
+    A is abelian, so tau commutes with h's regular permutation and
+    phi iota phi^-1 = (sigma g sigma^-1, h).  This is iota^u = (g^u, h^u)
+    exactly when sigma g sigma^-1 = g^u for a unit u mod ord(iota) with
+    u = 1 mod ord(h): a test of sigma on d points, after which every tau in A
+    works.  Each surviving phi is still checked against iota itself.
 
     >>> c2 = AbelianGroup.from_label("C2")
     >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)
@@ -196,70 +206,64 @@ def decomposition_patterns(
     _check_pair(g, h, d, group)
     if d > 6:
         raise DomainError("Frobenius enumeration is capped at d = 6")
-    iota = product_embed(g.representative(), regular_permutation(h))
-    order = iota.order()
-    unit_power_images = frozenset(
-        iota.power(u).images for u in range(1, order + 1) if gcd(u, order) == 1
+    base = g.representative()
+    iota = product_embed(base, regular_permutation(h))
+    order, h_order = iota.order(), element_order(h)
+    units = [u for u in range(1, order + 1) if gcd(u, order) == 1]
+    unit_power_images = frozenset(iota.power(u).images for u in units)
+    targets = frozenset(
+        base.power(u).images for u in units if (u - 1) % h_order == 0
     )
     translations = [regular_permutation(t) for t in group.elements()]
-    n = iota.degree
     patterns: set[SplittingPattern] = set()
     for sigma in all_permutations(d):
+        if _conjugate(sigma, base) not in targets:
+            continue
         for tau in translations:
             phi = product_embed(sigma, tau)
-            conjugate = [0] * n
-            for point in range(1, n + 1):
-                conjugate[phi(point) - 1] = phi(iota(point))
-            if tuple(conjugate) not in unit_power_images:
-                continue
+            if _conjugate(phi, iota) not in unit_power_images:
+                raise AssertionError(
+                    "a normaliser lift does not conjugate iota to a unit power"
+                )
             patterns.add(_orbit_pattern(iota, phi))
     return frozenset(patterns)
+
+
+def _conjugate(phi: Permutation, x: Permutation) -> tuple[int, ...]:
+    """The images of phi x phi^-1."""
+    images = [0] * x.degree
+    for point, image in enumerate(x.images):
+        images[phi.images[point] - 1] = phi.images[image - 1]
+    return tuple(images)
 
 
 def _orbit_pattern(iota: Permutation, phi: Permutation) -> SplittingPattern:
     """Factor the point set into decomposition orbits of <iota, phi> and count
     the inertia (iota-)orbits inside each."""
-    n = iota.degree
-    seen = [False] * n
+    inertia_size = {point - 1: len(c) for c in iota.cycles() for point in c}
+    seen = [False] * iota.degree
     factors: list[tuple[int, int]] = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
+    for start in range(iota.degree):
+        if seen[start]:
             continue
         stack = [start]
-        seen[start - 1] = True
+        seen[start] = True
         orbit = []
         while stack:
             point = stack.pop()
             orbit.append(point)
-            for image in (iota(point), phi(point)):
-                if not seen[image - 1]:
-                    seen[image - 1] = True
+            for image in (iota.images[point] - 1, phi.images[point] - 1):
+                if not seen[image]:
+                    seen[image] = True
                     stack.append(image)
-        inertia_sizes = _iota_orbit_sizes(iota, orbit)
-        e = inertia_sizes[0]
-        if any(size != e for size in inertia_sizes):
+        sizes = {inertia_size[point] for point in orbit}
+        if len(sizes) != 1:
             raise AssertionError(
                 "inertia orbits inside one decomposition orbit differ in size"
             )
+        e = sizes.pop()
         factors.append((e, len(orbit) // e))
     return SplittingPattern(tuple(factors))
-
-
-def _iota_orbit_sizes(iota: Permutation, points: list[int]) -> list[int]:
-    remaining = set(points)
-    sizes: list[int] = []
-    while remaining:
-        start = next(iter(remaining))
-        size = 0
-        point = start
-        while True:
-            remaining.discard(point)
-            size += 1
-            point = iota(point)
-            if point == start:
-                break
-        sizes.append(size)
-    return sizes
 
 
 def disc_valuation_pair(

@@ -499,6 +499,14 @@ def test_count_N_rejects_bad_x():
         count_N(toy_dataset(), 3, C2, 0)
 
 
+def test_both_counts_reject_a_degree_outside_the_product_model():
+    data = toy_dataset()
+    with pytest.raises(DomainError, match="requires d >= 3"):
+        count_N(data, 2, C2, 100)
+    with pytest.raises(DomainError, match="requires d >= 3"):
+        count_N_truncated(data, 2, C2, 100, 13)
+
+
 def test_truncated_cutoff_must_clear_wild_modulus():
     data = toy_dataset()
     with pytest.raises(DomainError):

@@ -337,6 +337,22 @@ def test_uniformity_tsv_multiple_cutoffs(capsys, tmp_path):
     assert first[2] and second[2]  # exponent given: ratio populated
 
 
+def test_uniformity_warns_when_no_coverage_header_names_the_group(capsys,
+                                                                tmp_path):
+    # The fixture asserts coverage for S3 only: d = 4 counts nothing and says so.
+    spec = tmp_path / "bins.json"
+    spec.write_text(json.dumps({"bins": [{"classes": ["2.2"], "q": 1}]}))
+    code, out, err = run(capsys, "uniformity", "--d", "4",
+                         "--uniformity-spec", str(spec), "--X", "1000")
+    assert code == 0
+    assert out.strip().split("\n")[-1].split() == ["1000", "0"]
+    assert err == "warning: no coverage assertion for group S4\n"
+    spec.write_text(json.dumps({"bins": [{"classes": ["3"], "q": 1}]}))
+    code, _, err = run(capsys, "uniformity", "--d", "3",
+                       "--uniformity-spec", str(spec), "--X", "1000")
+    assert (code, err) == (0, "")
+
+
 def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
     spec = tmp_path / "bins.json"
     spec.write_text(json.dumps({
@@ -387,6 +403,7 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "-100000"}]})),
         (["uniformity", "--d", "3", "--X", "2000", "--uniformity-spec"],
          json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "100000"}]})),
+        (["census", "--d", "2", "--A", "C2", "--X", "100"], None),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
          "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
@@ -394,7 +411,7 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          "overrides-not-utf8", "spec-not-utf8", "tail-exponent-past-float",
          "census-X-past-float", "spec-X-0", "spec-X-negative",
          "spec-X-past-float", "spec-comparator-underflow",
-         "spec-comparator-overflow"],
+         "spec-comparator-overflow", "census-d-2"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):

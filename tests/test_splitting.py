@@ -6,17 +6,28 @@ mask (or fake) agreement.  Advisory cells are asserted to be defective rather
 than contained.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
 from sdxa.errors import DegreeMismatchError, DomainError, PatternError
-from sdxa.groups import AbelianGroup, regular_cycle_type
+from sdxa.groups import AbelianGroup, regular_cycle_type, regular_permutation
 from sdxa.indexcalc import delta
-from sdxa.perms import CycleType, ind, pair_cycle_count, pair_index, partitions
+from sdxa.perms import (
+    CycleType,
+    all_permutations,
+    ind,
+    pair_cycle_count,
+    pair_index,
+    partitions,
+    product_embed,
+)
 from sdxa.splitting import (
     SplittingPattern,
+    _orbit_pattern,
     decomposition_patterns,
     disc_valuation_pair,
     format_pattern,
@@ -124,6 +135,53 @@ class TestInertiaOrbits:
                         assert len(orbits) == pair_cycle_count(
                             g, regular_cycle_type(h)
                         )
+
+
+def brute_force_patterns(g, h, d, group):
+    """The oracle for decomposition_patterns: every (sigma, tau) in S_d x A,
+    each embedded on d * |A| points and kept when it conjugates the inertia
+    generator iota to a coprime power of itself."""
+    iota = product_embed(g.representative(), regular_permutation(h))
+    order = iota.order()
+    unit_power_images = frozenset(
+        iota.power(u).images for u in range(1, order + 1) if gcd(u, order) == 1
+    )
+    translations = [regular_permutation(t) for t in group.elements()]
+    n = iota.degree
+    patterns = set()
+    for sigma in all_permutations(d):
+        for tau in translations:
+            phi = product_embed(sigma, tau)
+            conjugate = [0] * n
+            for point in range(n):
+                conjugate[phi.images[point] - 1] = phi.images[iota.images[point] - 1]
+            if tuple(conjugate) in unit_power_images:
+                patterns.add(_orbit_pattern(iota, phi))
+    return frozenset(patterns)
+
+
+ORACLE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C2xC2", "C2xC4", "C3xC3")
+
+
+def oracle_cases(d, label):
+    """Every (g, h) at d = 3, 4; at d = 5 every g with a generator h of A."""
+    group = AbelianGroup.from_label(label)
+    elements = group.elements()
+    if d == 5 and group.order > 1:
+        elements = [group.element((1,))]
+    return [(g, h, group) for g in partitions(d) for h in elements]
+
+
+@pytest.mark.parametrize(
+    "d,label",
+    [(d, label) for d in (3, 4) for label in ORACLE_GROUPS]
+    + [(5, label) for label in ("C1", "C2", "C3", "C5", "C7")],
+)
+def test_normaliser_enumeration_matches_brute_force(d, label):
+    for g, h, group in oracle_cases(d, label):
+        assert decomposition_patterns(g, h, d, group) == brute_force_patterns(
+            g, h, d, group
+        ), (g, h)
 
 
 class TestDecompositionPatterns:
