@@ -9,7 +9,7 @@ PARENT and CHANGE are two checkouts of the repository, best made with
 ``git clone`` so that each run record names its commit.  For pair i of a
 workload both trees run ``perfbench/run.py --workload W --seed S --trace 0``
 with the same seed S = first-seed + i; which tree goes first alternates from
-one run pair to the next, and the pairs of different workloads are
+one pair of a workload to the next, and the pairs of different workloads are
 interleaved, so slow spells of a shared machine fall on both sides.  Every
 number in the output is copied from the run records
 ``perfbench/out/run-W-seedS-trace0.json``: the commit and ``src`` hash of
@@ -95,14 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         end_to_end = json.load(handle)["end_to_end"]
 
     runs: dict[str, list[dict]] = {w: [] for w in counts}
-    order = 0
     for index in range(max(counts.values())):
         for workload, n in counts.items():
             if index >= n:
                 continue
             seed = args.first_seed + index
-            sides = SIDES if order % 2 == 0 else SIDES[::-1]
-            order += 1
+            sides = SIDES if index % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": sides[0]}
             for side in sides:
                 pair[side] = run_once(trees[side], workload, seed, args.seconds)
