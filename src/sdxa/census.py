@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DomainError,
@@ -459,6 +459,7 @@ class ComposeResult:
         return tuple(entries)
 
 
+@lru_cache(maxsize=None)
 def _element_of_order(group: AbelianGroup, order: int) -> AbelianElement:
     for candidate in group.elements():
         if element_order(candidate) == order:
@@ -477,7 +478,8 @@ def compose_disc(
     where both (validated) records ramify; at a shared tame-tame prime the
     discrepancy follows from the two inertia classes, and at a shared prime
     with wild data it is taken from ``overrides`` or the prime is reported
-    unresolved.
+    unresolved.  Shared primes come out ascending: the walk follows
+    ``f_record.local``, which validation keeps sorted and distinct.
     """
     if not f_record.is_symmetric:
         raise DomainError(
@@ -487,13 +489,16 @@ def compose_disc(
         raise DomainError(f"record {k_record.label!r} must be abelian")
     d, group = f_record.degree, k_record.abelian_group
     order = group.order
-    f_local, k_local = f_record.local_by_prime, k_record.local_by_prime
+    k_local = k_record.local_by_prime
     naive_magnitude = abs(f_record.disc) ** order * abs(k_record.disc) ** d
     discrepancy = overlap = 1
     unresolved: list[int] = []
     shared: list[tuple[int, int | None]] = []
-    for p in sorted(f_local.keys() & k_local.keys()):
-        f_datum, k_datum = f_local[p], k_local[p]
+    for f_datum in f_record.local:
+        p = f_datum.prime
+        k_datum = k_local.get(p)
+        if k_datum is None:
+            continue
         v_f, v_k = f_datum.valuation, k_datum.valuation
         delta_p: int | None
         if f_datum.tame_class is not None and k_datum.tame_class is not None:
@@ -512,13 +517,13 @@ def compose_disc(
         discrepancy *= p ** (delta_p or 0)
         overlap *= p ** min(order * v_f, d * v_k)
     return ComposeResult(
-        magnitude=naive_magnitude // discrepancy,
-        naive_magnitude=naive_magnitude,
-        lower_bound=naive_magnitude // overlap,
-        unresolved_primes=tuple(unresolved),
-        shared=tuple(shared),
-        f_record=f_record,
-        k_record=k_record,
+        naive_magnitude // discrepancy,
+        naive_magnitude,
+        naive_magnitude // overlap,
+        tuple(unresolved),
+        tuple(shared),
+        f_record,
+        k_record,
     )
 
 
@@ -568,6 +573,12 @@ def missing_coverage(dataset: Dataset, label: str) -> list[str]:
     return [f"no coverage assertion for group {label}"]
 
 
+def _power_below(base: int, power: int, x: int) -> bool:
+    """Whether ``base ** power < x``, never building a power that must exceed
+    x: for ``base >= 2`` and ``power > x.bit_length()``, it is ``>= 2 ** power > x``."""
+    return (base < 2 or power <= x.bit_length()) and base**power < x
+
+
 def _coverage_warnings(
     dataset: Dataset, d: int, group: AbelianGroup, x: int
 ) -> list[str]:
@@ -576,7 +587,7 @@ def _coverage_warnings(
     f_label, k_label = f"S{d}", group.label()
     for label, power in ((f_label, group.order), (k_label, d)):
         warnings += missing_coverage(dataset, label)
-        if label in coverage and coverage[label] ** power < x:
+        if label in coverage and _power_below(coverage[label], power, x):
             warnings.append(
                 f"X = {x} needs {label} records up to "
                 f"|disc| = {math.ceil(x ** (1 / power))}, coverage asserts only "

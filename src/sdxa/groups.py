@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DegreeMismatchError, DomainError
@@ -97,7 +97,7 @@ class AbelianGroup:
             raise DomainError(f"bad abelian group label: {label!r}")
         return AbelianGroup(tuple(int(t[1:]) for t in label.split("x")))
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.invariant_factors)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegreeMismatchError,
@@ -33,6 +34,7 @@ from .groups import (
 from .perms import CycleType, ind, pair_index, partitions
 
 
+@lru_cache(maxsize=None)
 def delta(d: int, group: AbelianGroup, g: CycleType, h: AbelianElement) -> int:
     """Discrepancy of the pair (g, h) in the degree-(d*|A|) product action:
 

@@ -1,0 +1,48 @@
+"""Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
+BENCH file: per side the median and quartiles, and the pairs the change won."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "throughput_cmd_s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+]
+
+
+def pair(parent: tuple[float, float], change: tuple[float, float]) -> dict:
+    names = [m["name"] for m in METRICS]
+    return {"parent": {"metrics": dict(zip(names, parent))},
+            "change": {"metrics": dict(zip(names, change))}}
+
+
+def test_ties_count_for_neither_side():
+    summary = bench_pairs.summarise([pair((5, 100), (5, 100))] * 3, METRICS)
+    assert [summary[m["name"]]["change_wins"] for m in METRICS] == [0, 0]
+
+
+def test_lower_metrics_win_when_lower():
+    pairs = [pair((5, 100), (6, 90)), pair((5, 100), (4, 110)),
+             pair((5, 100), (7, 80))]
+    summary = bench_pairs.summarise(pairs, METRICS)
+    assert summary["throughput_cmd_s"]["change_wins"] == 2
+    assert summary["latency_p50_ms"]["change_wins"] == 2
+    assert summary["latency_p50_ms"]["change"]["median"] == 90
+    assert summary["latency_p50_ms"]["pairs"] == 3
+
+
+def test_single_pair_gives_degenerate_quartiles():
+    summary = bench_pairs.summarise([pair((5, 100), (6, 90))], METRICS)
+    entry = summary["latency_p50_ms"]
+    assert entry["parent"] == {"median": 100, "q1": 100, "q3": 100}
+    assert entry["change"] == {"median": 90, "q1": 90, "q3": 90}
+    assert (entry["better"], entry["bound"], entry["change_wins"]) == (
+        "lower", 0.25, 1
+    )

@@ -970,3 +970,46 @@ def test_record_caches_are_built_on_first_access():
     assert rec.local_at(13) is rec.local_by_prime[13] is rec.local[1]
     assert rec.local_at(5) is None
     assert rec.fundamental_disc == fundamental_discriminant(rec.disc) == -104
+
+
+def test_compose_result_is_frozen(bundled):
+    import dataclasses
+
+    result = compose_disc(bundled.get("3.-104.1"), bundled.by_group("C2")[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.magnitude = 0
+    assert "breakdown" not in vars(result)
+
+
+def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
+    from sdxa.census import _element_of_order
+
+    k1, k2 = bundled.by_group("C2")[:2]
+    assert k1.abelian_group == k2.abelian_group
+    assert k1.abelian_group is not k2.abelian_group
+    g = CycleType((2, 1))
+    delta.cache_clear()
+    for k in (k1, k2):
+        group = k.abelian_group
+        assert delta(3, group, g, _element_of_order(group, 2)) == 2
+    info = delta.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_coverage_power_is_decided_without_building_it():
+    from sdxa.census import _coverage_warnings, _power_below
+
+    class Unpowered(int):
+        def __pow__(self, power):
+            raise AssertionError("the power was built")
+
+    assert not _power_below(Unpowered(2000), 10**12, 10**7)
+    assert not _power_below(2000, 10**12, 10**7)
+    for base in range(6):
+        for power in range(13):
+            for x in range(1, 300):
+                assert _power_below(base, power, x) == (base**power < x)
+    data = load_dataset("#coverage group=S3 maxdisc=2000\n")
+    assert _coverage_warnings(data, 3, AbelianGroup((10**12,)), 10**7) == [
+        "no coverage assertion for group C1000000000000"
+    ]

@@ -240,6 +240,15 @@ def test_census_warns_beyond_coverage(capsys):
     assert "warning:" in err
 
 
+def test_census_huge_abelian_order_is_answered(capsys):
+    # the S3 coverage check compares 2000 ** |A| with X; it must not build it
+    code, out, err = run(capsys, "census", "--d", "3", "--A", "C999983",
+                         "--X", "10")
+    assert code == 0
+    assert "count below X = 10 (exact): 0" in out
+    assert err == "warning: no coverage assertion for group C999983\n"
+
+
 def test_census_missing_dataset_is_error_not_traceback(capsys):
     code, _, err = run(capsys, "census", "--d", "3", "--A", "C2",
                        "--X", "100", "--dataset", "/nonexistent/file.txt")

@@ -118,6 +118,49 @@ class TestDelta:
                             g, regular_cycle_type(h), d, order
                         )
 
+    MEMO_GROUPS = ["C2", "C3", "C4", "C5", "C6", "C7", "C2xC2", "C2xC4", "C3xC3"]
+
+    def test_memoised_delta_agrees_cold_and_cached(self):
+        delta.cache_clear()
+        for label in self.MEMO_GROUPS:
+            group = AbelianGroup.from_label(label)
+            for d in (3, 4, 5):
+                for g in partitions(d):
+                    for h in group.elements():
+                        expected = delta_closed_form(
+                            g, regular_cycle_type(h), d, group.order
+                        )
+                        before = delta.cache_info()
+                        assert delta(d, group, g, h) == expected  # cold
+                        assert delta(d, group, g, h) == expected  # cached
+                        after = delta.cache_info()
+                        assert (after.misses, after.hits) == (
+                            before.misses + 1, before.hits + 1
+                        )
+
+    def test_memoised_delta_raises_on_every_call(self):
+        c2, c3 = AbelianGroup.from_label("C2"), AbelianGroup.from_label("C3")
+        for _ in range(2):
+            with pytest.raises(DegreeMismatchError):
+                delta(4, c2, CycleType((3,)), c2.element((1,)))
+            with pytest.raises(DomainError):
+                delta(3, c2, CycleType((3,)), c3.element((1,)))
+
+    def test_element_of_order_is_stable_under_the_memo(self):
+        from sdxa.census import _element_of_order
+
+        for label in self.MEMO_GROUPS:
+            group = AbelianGroup.from_label(label)
+            orders = {element_order(h) for h in group.elements()}
+            for order in range(1, group.order + 1):
+                for _ in range(2):
+                    if order in orders:
+                        h = _element_of_order(group, order)
+                        assert h.group == group and element_order(h) == order
+                    else:
+                        with pytest.raises(DomainError):
+                            _element_of_order(group, order)
+
     def test_delta_bounds_and_attainment(self):
         # 0 <= delta <= d * ind(h_reg); the upper bound is attained exactly on
         # the equality cases, the lower bound at h = identity.

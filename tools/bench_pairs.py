@@ -16,7 +16,9 @@ number in the output is copied from the run records
 each tree, and each run's end-to-end metrics and failure count.  Per workload
 the output also gives each side's median and quartiles of every end-to-end
 metric named in the change tree's ``BENCHMARK.json``, and the number of pairs
-the change won.
+the change won.  After the pairs, each tree runs every workload once more with
+``--trace 1`` at the first seed; the output keeps each side's per-layer
+metrics and trace self-check from those runs.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ import sys
 SIDES = ("parent", "change")
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run in ``tree``; the fields of its run record we keep."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
     path = os.path.join(tree, "perfbench", "out",
-                        f"run-{workload}-seed{seed}-trace0.json")
+                        f"run-{workload}-seed{seed}-trace{trace}.json")
     with open(path, encoding="utf-8") as handle:
         record = json.load(handle)
     env = record["environment"]
@@ -52,6 +55,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         "attempted": record["error_rate"]["attempted"],
         "failed": record["error_rate"]["failed"],
         "metrics": {k: m["value"] for k, m in record["metrics"].items()},
+        "trace_self_check": record["trace_self_check"],
     }
 
 
@@ -107,6 +111,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", flush=True)
             runs[workload].append(pair)
+    traced = {
+        workload: {side: run_once(trees[side], workload, args.first_seed,
+                                  args.seconds, trace=1) for side in SIDES}
+        for workload in counts
+    }
 
     first = {side: runs[next(iter(runs))][0][side] for side in SIDES}
     result = {
@@ -117,13 +126,15 @@ def main(argv: list[str] | None = None) -> int:
         **{side: {"git_sha": first[side]["git_sha"],
                   "src_sha256": first[side]["src_sha256"]} for side in SIDES},
         "workloads": {
-            workload: {"pairs": pairs, "summary": summarise(pairs, end_to_end)}
+            workload: {"pairs": pairs, "summary": summarise(pairs, end_to_end),
+                       "traced": traced[workload]}
             for workload, pairs in runs.items()
         },
     }
     for workload, pairs in runs.items():
         for side in SIDES:
-            shas = {(p[side]["git_sha"], p[side]["src_sha256"]) for p in pairs}
+            records = [p[side] for p in pairs] + [traced[workload][side]]
+            shas = {(r["git_sha"], r["src_sha256"]) for r in records}
             if len(shas) != 1 or shas != {tuple(result[side].values())}:
                 raise SystemExit(f"{side} tree changed during the runs: {shas}")
     with open(args.out, "w", encoding="utf-8") as handle:
