@@ -44,7 +44,7 @@ minimal = [
     c for c in classes
     if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == invariants.a
 ]
-orbits = cyclotomic_class_orbits(3, group, minimal)
+orbits = cyclotomic_class_orbits(group, minimal)
 print(f"minimal classes: {[str(c) for c in minimal]}, power-map orbits: {len(orbits)}")
 print()
 

@@ -1,0 +1,8 @@
+"""``python -m sdxa``: the same command line as the ``sdxa`` entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

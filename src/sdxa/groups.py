@@ -304,45 +304,30 @@ def conjugacy_classes_product(
     return classes
 
 
-def product_exponent(d: int, group: AbelianGroup) -> int:
-    """Exponent of the product group: lcm of all cycle lengths <= d and of the
-    abelian exponent."""
-    return lcm(lcm(*range(1, d + 1)) if d > 1 else 1, group.exponent)
-
-
 def cyclotomic_class_orbits(
-    d: int, group: AbelianGroup, classes: list[ProductClass]
+    group: AbelianGroup, classes: list[ProductClass]
 ) -> list[tuple[ProductClass, ...]]:
     """Orbits of the cyclotomic power action ``(g, a) -> (g^k, k*a)`` over all
-    k coprime to the product group's exponent.
+    k coprime to the product group's exponent, each orbit sorted, orbits
+    sorted by their smallest member.
 
-    Cycle types of S_d are preserved by every such k (each cycle length
-    divides the exponent, hence is coprime to k), so the action moves only
-    the abelian coordinate — but the power map is applied to both components
-    regardless, keeping the implementation honest about the definition.
+    Every cycle length of S_d divides that exponent, hence is coprime to k,
+    so g^k has the cycle type of g and only the abelian coordinate moves.
+    The units mod the exponent reduce onto the units mod exp(A), so the orbit
+    of (g, a) is {g} x (the :func:`galois_orbits` orbit of a), for every d.
     """
-    exponent = product_exponent(d, group)
-    units = [k for k in range(1, exponent + 1) if gcd(k, exponent) == 1]
+    orbit_of = {a.residues: orbit for orbit in galois_orbits(group) for a in orbit}
     index = {(c.sd_part.parts, c.a_part.residues): c for c in classes}
-    remaining = dict(index)
-    orbits: list[tuple[ProductClass, ...]] = []
-    while remaining:
-        seed_key = min(remaining)
-        seed = remaining[seed_key]
-        orbit_keys = set()
-        for k in units:
-            image = ProductClass(seed.sd_part.power(k), seed.a_part.scale(k))
-            key = (image.sd_part.parts, image.a_part.residues)
-            if key not in index:
-                # Power maps permute the full class list; a miss can only
-                # happen if the caller passed a strict subset that is not
-                # power-closed.
-                raise DomainError("class list is not closed under power maps")
-            orbit_keys.add(key)
-        orbits.append(tuple(index[k] for k in sorted(orbit_keys)))
-        for k in orbit_keys:
-            remaining.pop(k, None)
-    return orbits
+    orbits: dict[tuple, tuple[ProductClass, ...]] = {}
+    for parts, residues in sorted(index):
+        keys = tuple((parts, a.residues) for a in orbit_of[residues])
+        if any(key not in index for key in keys):
+            # Power maps permute the full class list; a miss can only
+            # happen if the caller passed a strict subset that is not
+            # power-closed.
+            raise DomainError("class list is not closed under power maps")
+        orbits.setdefault(keys, tuple(index[key] for key in keys))
+    return list(orbits.values())
 
 
 @dataclass(frozen=True)
@@ -372,7 +357,7 @@ def malle_invariants_product(d: int, group: AbelianGroup) -> MalleInvariants:
     indices = [pair_index(c.sd_part, regular_cycle_type(c.a_part)) for c in classes]
     minimal = min(indices)
     minimal_classes = [c for c, i in zip(classes, indices) if i == minimal]
-    orbits = cyclotomic_class_orbits(d, group, minimal_classes)
+    orbits = cyclotomic_class_orbits(group, minimal_classes)
     return MalleInvariants(a=minimal, exponent=Fraction(1, minimal), b=len(orbits))
 
 

@@ -170,18 +170,6 @@ class CycleType:
             result = gcd(result, p)
         return result
 
-    def power(self, k: int) -> "CycleType":
-        """Cycle type of the k-th power of any permutation of this type.
-
-        A cycle of length ``c`` splits into ``gcd(c, k)`` cycles of length
-        ``c / gcd(c, k)``.
-        """
-        parts: list[int] = []
-        for c in self.parts:
-            g = gcd(c, k)
-            parts.extend([c // g] * g)
-        return CycleType(tuple(parts))
-
     def representative(self) -> Permutation:
         """A canonical permutation with this cycle type (consecutive blocks)."""
         cycles: list[tuple[int, ...]] = []

@@ -9,9 +9,9 @@ Frobenius lifts yields every pattern compatible with a given inertia class;
 running that enumeration for the product action regenerates the package's
 golden valuation tables.
 
-A pair (sigma, tau) of S_d x A is a Frobenius lift for inertia (g, h) exactly
-when sigma g sigma^-1 = g^u for a unit u = 1 mod ord(h): sigma normalises <g>,
-and every translation tau works because it commutes with h.
+Over all primes, the Frobenius lifts that commute with inertia (g, h) already
+give every pattern: sigma in the centraliser of g, and one translation tau per
+coset of <h> (see :func:`decomposition_patterns`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import DegreeMismatchError, DomainError, PatternError
 from .groups import (
     AbelianElement,
     AbelianGroup,
-    element_order,
     factorize,
     regular_cycle_type,
     regular_permutation,
@@ -193,10 +192,21 @@ def decomposition_patterns(
     into inertia orbits, give one (e, f) factor per decomposition orbit.
 
     A is abelian, so tau commutes with h's regular permutation and
-    phi iota phi^-1 = (sigma g sigma^-1, h).  This is iota^u = (g^u, h^u)
-    exactly when sigma g sigma^-1 = g^u for a unit u mod ord(iota) with
-    u = 1 mod ord(h): a test of sigma on d points, after which every tau in A
-    works.  Each surviving phi is still checked against iota itself.
+    phi iota phi^-1 = (sigma g sigma^-1, h).  Two reductions leave only the
+    lifts with sigma in the centraliser C(g) and one tau per coset of <h>:
+
+    1. A lift has sigma g sigma^-1 = g^u and h = uh, so u = 1 mod ord(h).
+       Let sigma' send g^k x_C to g^k sigma(x_C), for one base point x_C of
+       each g-cycle C.  Then sigma' commutes with g, and (sigma, tau) and
+       (sigma', tau) send every iota-orbit to the same iota-orbit:
+       sigma(g^k x) = g^(uk) sigma(x), and iota^((u-1)k) changes the
+       A-coordinate by (u-1)k h = 0.  A pattern depends only on that
+       permutation of iota-orbits.
+    2. <iota, phi> = <iota, phi iota^j>, and phi iota^j = (sigma g^j, tau + jh)
+       with sigma g^j still in C(g).  So one tau per coset of <h> is enough;
+       the cosets are the cycles of h's regular permutation.
+
+    Each surviving phi is still checked to commute with iota.
 
     >>> c2 = AbelianGroup.from_label("C2")
     >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)
@@ -206,25 +216,20 @@ def decomposition_patterns(
     _check_pair(g, h, d, group)
     if d > 6:
         raise DomainError("Frobenius enumeration is capped at d = 6")
-    base = g.representative()
-    iota = product_embed(base, regular_permutation(h))
-    order, h_order = iota.order(), element_order(h)
-    units = [u for u in range(1, order + 1) if gcd(u, order) == 1]
-    unit_power_images = frozenset(iota.power(u).images for u in units)
-    targets = frozenset(
-        base.power(u).images for u in units if (u - 1) % h_order == 0
-    )
-    translations = [regular_permutation(t) for t in group.elements()]
+    base, h_perm = g.representative(), regular_permutation(h)
+    iota = product_embed(base, h_perm)
+    elements = group.elements()
+    translations = [
+        regular_permutation(elements[coset[0] - 1]) for coset in h_perm.cycles()
+    ]
     patterns: set[SplittingPattern] = set()
     for sigma in all_permutations(d):
-        if _conjugate(sigma, base) not in targets:
+        if _conjugate(sigma, base) != base.images:
             continue
         for tau in translations:
             phi = product_embed(sigma, tau)
-            if _conjugate(phi, iota) not in unit_power_images:
-                raise AssertionError(
-                    "a normaliser lift does not conjugate iota to a unit power"
-                )
+            if _conjugate(phi, iota) != iota.images:
+                raise AssertionError("a centraliser lift does not commute with iota")
             patterns.add(_orbit_pattern(iota, phi))
     return frozenset(patterns)
 

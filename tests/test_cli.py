@@ -1,12 +1,16 @@
 """Command-line interface tests: argument handling, exit codes, output
-formats, and determinism.  All invocations go through ``main(argv)``."""
+formats, and determinism.  All invocations but the ``python -m sdxa`` check
+go through ``main(argv)``."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +72,21 @@ def test_invariants_rejects_small_degree(capsys):
     code, _, err = run(capsys, "invariants", "--d", "2", "--A", "C2")
     assert code == 1
     assert "error:" in err
+
+
+def test_python_m_sdxa_runs_main(capsys):
+    _, expected, _ = run(capsys, "invariants", "--d", "3", "--A", "C2")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def python_m_sdxa(*argv):
+        return subprocess.run([sys.executable, "-m", "sdxa", *argv],
+                              capture_output=True, text=True, env=env)
+
+    ok = python_m_sdxa("invariants", "--d", "3", "--A", "C2")
+    assert (ok.returncode, ok.stdout) == (0, expected)
+    assert python_m_sdxa("invariants", "--d").returncode == 2
 
 
 # ---------------------------------------------------------------------------

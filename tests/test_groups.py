@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sdxa.errors import DomainError
 from sdxa.groups import (
+    AbelianElement,
     AbelianGroup,
     MalleInvariants,
     ProductClass,
@@ -178,6 +179,28 @@ class TestMalleInvariants:
         with pytest.raises(DomainError):
             malle_invariants_product(2, AbelianGroup.from_label("C2"))
 
+    def test_degree_30_answers(self):
+        assert malle_invariants_product(
+            30, AbelianGroup.from_label("C2")
+        ) == MalleInvariants(2, Fraction(1, 2), 1)
+
+    def test_power_maps_act_on_the_abelian_group_once(self, monkeypatch):
+        # The units mod lcm(1..12, 5) = 27720 number 5760; the power maps on
+        # C5 need at most |C5| * phi(5) = 20 multiples, whatever d is.
+        calls = []
+        scale = AbelianElement.scale
+
+        def counting_scale(self, k):
+            calls.append(k)
+            return scale(self, k)
+
+        monkeypatch.setattr(AbelianElement, "scale", counting_scale)
+        group = AbelianGroup.from_label("C5")
+        assert malle_invariants_product(12, group) == MalleInvariants(
+            5, Fraction(1, 5), 1
+        )
+        assert len(calls) <= 20
+
     def test_minimal_index_is_group_order_and_orbit_unique(self):
         # For every d in {3,4,5} and every abelian group of order <= 12:
         # a = |A|, exponent = 1/|A|, b = 1, and the unique minimal orbit is
@@ -250,7 +273,7 @@ class TestCyclotomicClassOrbits:
     def test_orbits_cover_classes(self):
         group = AbelianGroup.from_label("C6")
         classes = conjugacy_classes_product(4, group)
-        orbits = cyclotomic_class_orbits(4, group, classes)
+        orbits = cyclotomic_class_orbits(group, classes)
         covered = [c for orbit in orbits for c in orbit]
         assert len(covered) == len(classes)
         # The abelian coordinates inside one orbit all share an order, and the
@@ -262,7 +285,13 @@ class TestCyclotomicClassOrbits:
     def test_orbit_sizes_match_element_orbits(self):
         group = AbelianGroup.from_label("C5")
         classes = conjugacy_classes_product(3, group, nontrivial_only=False)
-        orbits = cyclotomic_class_orbits(3, group, classes)
+        orbits = cyclotomic_class_orbits(group, classes)
         sizes = sorted(len(o) for o in orbits)
         # 3 partitions x orbits {identity}, {4 generators} -> sizes 1,1,1,4,4,4
         assert sizes == [1, 1, 1, 4, 4, 4]
+
+    def test_rejects_a_subset_not_closed_under_power_maps(self):
+        group = AbelianGroup.from_label("C5")
+        classes = [ProductClass(CycleType((2, 1)), group.element((1,)))]
+        with pytest.raises(DomainError, match="not closed under power maps"):
+            cyclotomic_class_orbits(group, classes)

@@ -89,11 +89,6 @@ class TestCycleType:
         with pytest.raises(DomainError):
             CycleType((2, 0))
 
-    def test_power_splits_cycles(self):
-        assert CycleType((6,)).power(2).parts == (3, 3)
-        assert CycleType((6,)).power(5).parts == (6,)
-        assert CycleType((4, 2)).power(2).parts == (2, 2, 1, 1)
-
     def test_representative_round_trip(self):
         for ct in partitions(6):
             assert cycle_type(ct.representative()) == ct

@@ -13,11 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
+from sdxa import splitting
 from sdxa.errors import DegreeMismatchError, DomainError, PatternError
 from sdxa.groups import AbelianGroup, regular_cycle_type, regular_permutation
 from sdxa.indexcalc import delta
 from sdxa.perms import (
     CycleType,
+    Permutation,
     all_permutations,
     ind,
     pair_cycle_count,
@@ -164,10 +166,12 @@ ORACLE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C2xC2", "C2xC4", "C3
 
 
 def oracle_cases(d, label):
-    """Every (g, h) at d = 3, 4; at d = 5 every g with a generator h of A."""
+    """Every (g, h), except that h is a generator of A alone for C101 and for
+    the cyclic groups of prime order at d = 5.  C4 and C2xC2 at d = 5 have
+    cosets of <h> with more than one element."""
     group = AbelianGroup.from_label(label)
     elements = group.elements()
-    if d == 5 and group.order > 1:
+    if label == "C101" or (d == 5 and label in ("C2", "C3", "C5", "C7")):
         elements = [group.element((1,))]
     return [(g, h, group) for g in partitions(d) for h in elements]
 
@@ -175,13 +179,52 @@ def oracle_cases(d, label):
 @pytest.mark.parametrize(
     "d,label",
     [(d, label) for d in (3, 4) for label in ORACLE_GROUPS]
-    + [(5, label) for label in ("C1", "C2", "C3", "C5", "C7")],
+    + [(3, "C11"), (3, "C101")]
+    + [(5, label) for label in ("C1", "C2", "C3", "C4", "C5", "C7", "C2xC2")],
 )
 def test_normaliser_enumeration_matches_brute_force(d, label):
     for g, h, group in oracle_cases(d, label):
         assert decomposition_patterns(g, h, d, group) == brute_force_patterns(
             g, h, d, group
         ), (g, h)
+
+
+@pytest.mark.parametrize("d,parts", [(3, (2, 1)), (5, (2, 2, 1))])
+def test_lift_count_does_not_grow_with_the_prime(monkeypatch, d, parts):
+    """One product embedding for iota and one per centraliser element: a
+    table row for C101 costs what the row for C5 costs."""
+    calls = []
+
+    def counting_embed(sigma, tau):
+        calls.append(sigma)
+        return product_embed(sigma, tau)
+
+    monkeypatch.setattr(splitting, "product_embed", counting_embed)
+    counts = []
+    for p in (5, 101):
+        group = AbelianGroup.from_label(f"C{p}")
+        calls.clear()
+        g, h = CycleType(parts), group.element((1,))
+        decomposition_patterns.__wrapped__(g, h, d, group)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_lift_that_does_not_commute_with_iota_raises(monkeypatch):
+    calls = []
+
+    def skewed_embed(sigma, tau):
+        phi = product_embed(sigma, tau)
+        calls.append(phi)
+        if len(calls) == 1:
+            return phi
+        return Permutation.from_cycles(phi.degree, [(1, 2)]).compose(phi)
+
+    monkeypatch.setattr(splitting, "product_embed", skewed_embed)
+    c5 = AbelianGroup.from_label("C5")
+    g, h = CycleType((2, 1)), c5.element((1,))
+    with pytest.raises(AssertionError, match="does not commute with iota"):
+        decomposition_patterns.__wrapped__(g, h, 3, c5)
 
 
 class TestDecompositionPatterns:
