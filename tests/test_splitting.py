@@ -214,8 +214,9 @@ def test_lift_that_does_not_commute_with_iota_raises(monkeypatch):
     calls = []
 
     def skewed_embed(sigma, tau):
+        # The first call builds iota; every later one a lift, skewed by (1 2).
+        calls.append(sigma)
         phi = product_embed(sigma, tau)
-        calls.append(phi)
         if len(calls) == 1:
             return phi
         return Permutation.from_cycles(phi.degree, [(1, 2)]).compose(phi)
