@@ -77,7 +77,7 @@ class LocalDatum:
     def is_tame(self) -> bool:
         return self.tame_class is not None
 
-    @property
+    @cached_property
     def valuation(self) -> int:
         if self.tame_class is not None:
             return ind(self.tame_class)
@@ -88,6 +88,42 @@ class LocalDatum:
         if self.tame_class is not None:
             return f"{self.prime}:t({'.'.join(str(p) for p in self.tame_class.parts)})"
         return f"{self.prime}:w({self.wild_valuation})"
+
+
+@lru_cache(maxsize=None)
+def _datum_problem(
+    datum: LocalDatum, degree: int, modulus: int, exponent: int | None
+) -> str | None:
+    """What is wrong with ``datum`` in a record of this degree and closure
+    modulus, or None; ``exponent`` is the abelian group's exponent, None for a
+    symmetric record.  Cached, so each shape checks a repeated datum once."""
+    tame, prime = datum.tame_class, datum.prime
+    if tame is None:
+        if modulus % prime != 0:
+            return (
+                f"wild datum at {prime}, a prime coprime to the closure "
+                f"modulus {modulus}; expected a tame class"
+            )
+    elif math.gcd(prime, modulus) != 1:
+        return (
+            f"tame datum at {prime} but the prime divides the closure modulus "
+            f"{modulus}; such primes carry only wild valuations"
+        )
+    elif tame.degree != degree:
+        return (
+            f"inertia class at {prime} has degree {tame.degree}, record "
+            f"degree {degree}"
+        )
+    elif tame.is_identity():
+        return (
+            f"inertia class at {prime} is trivial; unramified primes must not "
+            "be listed"
+        )
+    elif exponent is not None and (
+        len(set(tame.parts)) != 1 or exponent % tame.parts[0]
+    ):
+        return f"inertia class at {prime} is not the regular type of a group element"
+    return None
 
 
 @dataclass(frozen=True)
@@ -172,43 +208,11 @@ class FieldRecord:
                 "ramified primes must be distinct and sorted", self.label
             )
         modulus = self.closure_modulus
+        exponent = None if self.is_symmetric else self.abelian_group.exponent
         for datum in self.local:
-            if datum.is_tame:
-                assert datum.tame_class is not None
-                if math.gcd(datum.prime, modulus) != 1:
-                    raise RecordValidationError(
-                        f"tame datum at {datum.prime} but the prime divides the "
-                        f"closure modulus {modulus}; such primes carry only "
-                        "wild valuations",
-                        self.label,
-                    )
-                if datum.tame_class.degree != self.degree:
-                    raise RecordValidationError(
-                        f"inertia class at {datum.prime} has degree "
-                        f"{datum.tame_class.degree}, record degree {self.degree}",
-                        self.label,
-                    )
-                if datum.tame_class.is_identity():
-                    raise RecordValidationError(
-                        f"inertia class at {datum.prime} is trivial; unramified "
-                        "primes must not be listed",
-                        self.label,
-                    )
-                if not self.is_symmetric:
-                    parts = datum.tame_class.parts
-                    if len(set(parts)) != 1 or self.abelian_group.exponent % parts[0]:
-                        raise RecordValidationError(
-                            f"inertia class at {datum.prime} is not the regular "
-                            "type of a group element",
-                            self.label,
-                        )
-            else:
-                if modulus % datum.prime != 0:
-                    raise RecordValidationError(
-                        f"wild datum at {datum.prime}, a prime coprime to the "
-                        f"closure modulus {modulus}; expected a tame class",
-                        self.label,
-                    )
+            problem = _datum_problem(datum, self.degree, modulus, exponent)
+            if problem is not None:
+                raise RecordValidationError(problem, self.label)
         product = 1
         for datum in self.local:
             product *= datum.prime ** datum.valuation
@@ -267,9 +271,35 @@ class Dataset:
         raise DomainError(f"no record labelled {label!r}")
 
 
+@lru_cache(maxsize=None)
+def _parse_datum(chunk: str) -> LocalDatum | str:
+    """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, or
+    the message of its parse error.  Cached, so records that repeat a chunk
+    share one datum."""
+    prime_text, _, type_text = chunk.partition(":")
+    try:
+        prime = int(prime_text)
+    except ValueError:
+        return f"bad prime in local datum {chunk!r}"
+    tame = _TAME_RE.match(type_text)
+    wild = _WILD_RE.match(type_text)
+    try:
+        if tame:
+            parts = tuple(int(p) for p in tame.group(1).split("."))
+            return LocalDatum(prime, tame_class=CycleType(parts))
+        if wild:
+            return LocalDatum(prime, wild_valuation=int(wild.group(1)))
+    except DomainError as exc:
+        return f"bad local datum {chunk!r}: {exc}"
+    except ValueError:
+        return f"bad cycle lengths in {chunk!r}"
+    return f"local datum {chunk!r} is neither t(...) nor w(...)"
+
+
 def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
     """Parse one record line; raises :class:`RecordParseError` with the line
-    number on malformed input."""
+    number on malformed input.  Each distinct local-data chunk is parsed, and
+    checked for each record shape, once per process."""
     fields = line.split(";")
     if len(fields) != 6:
         raise RecordParseError(
@@ -291,30 +321,10 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
     local: list[LocalDatum] = []
     if local_text:
         for chunk in local_text.split(","):
-            prime_text, _, type_text = chunk.partition(":")
-            try:
-                prime = int(prime_text)
-            except ValueError:
-                raise RecordParseError(
-                    f"bad prime in local datum {chunk!r}", line_number
-                ) from None
-            tame = _TAME_RE.match(type_text)
-            wild = _WILD_RE.match(type_text)
-            if tame:
-                try:
-                    parts = tuple(int(p) for p in tame.group(1).split("."))
-                except ValueError:
-                    raise RecordParseError(
-                        f"bad cycle lengths in {chunk!r}", line_number
-                    ) from None
-                local.append(LocalDatum(prime, tame_class=CycleType(parts)))
-            elif wild:
-                local.append(LocalDatum(prime, wild_valuation=int(wild.group(1))))
-            else:
-                raise RecordParseError(
-                    f"local datum {chunk!r} is neither t(...) nor w(...)",
-                    line_number,
-                )
+            datum = _parse_datum(chunk)
+            if isinstance(datum, str):
+                raise RecordParseError(datum, line_number)
+            local.append(datum)
     quads = tuple(int(q) for q in quad_text.split(",")) if quad_text else ()
     record = FieldRecord(
         label=label,

@@ -47,7 +47,6 @@ from sdxa.errors import (
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
-    SdxaError,
 )
 from sdxa.groups import AbelianGroup, element_order
 from sdxa.indexcalc import delta
@@ -150,6 +149,8 @@ def test_parse_wild_only_record():
         ("a;3;G3;-23;23:t(2.1);", "unknown group label"),
         ("a;3;S3;-23;23:x(2.1);", "neither t(...) nor w(...)"),
         ("a;3;S3;-23;q:t(2.1);", "bad prime"),
+        ("a;3;S3;-23;23:t(0.1);", "parts must be positive"),
+        ("a;3;S3;-23;23:w(0);", "must carry a positive valuation"),
     ],
 )
 def test_parse_errors(line, fragment):
@@ -159,34 +160,34 @@ def test_parse_errors(line, fragment):
     assert "line 7" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "line,fragment",
-    [
-        # degree disagrees with the group
-        ("a;4;S3;-23;23:t(2.1.1);", "does not match group"),
-        ("a;3;C2;-23;23:t(2.1);", "does not match group order"),
-        # symmetric records must leave the quadratic-subfield field empty
-        ("a;3;S3;-23;23:t(2.1);-23", "reserved for abelian"),
-        # tame data at a prime dividing the closure modulus
-        ("a;3;S3;-135;3:t(2.1),5:t(3);", "divides the closure modulus"),
-        # wild data at a prime coprime to the closure modulus
-        ("a;3;S3;-23;23:w(1);", "coprime to the closure modulus"),
-        # wrong-degree inertia class
-        ("a;3;S3;-20;5:t(2.1.1);", "has degree 4"),
-        # trivial inertia class
-        ("a;3;S3;-23;23:t(1.1.1);", "trivial"),
-        # abelian tame class must be a regular type of a group element
-        ("a;4;C2xC2;-175;5:t(2.1.1),7:t(4);", "regular type"),
-        ("a;2;C2;15;3:t(1.1),5:t(2);", "trivial"),
-        # primes out of order / repeated
-        ("a;3;S3;-115;23:t(2.1),5:t(2.1);", "distinct and sorted"),
-        ("a;3;S3;-2645;23:t(2.1),23:t(3);", "distinct and sorted"),
-        # local product disagrees with |disc|
-        ("a;3;S3;-46;23:t(2.1);", "!= |disc|"),
-        # non-fundamental quadratic subfield discriminant
-        ("a;2;C2;12;2:w(2),3:t(2);45", "not a fundamental discriminant"),
-    ],
-)
+VALIDATION_CASES = [
+    # degree disagrees with the group
+    ("a;4;S3;-23;23:t(2.1.1);", "does not match group"),
+    ("a;3;C2;-23;23:t(2.1);", "does not match group order"),
+    # symmetric records must leave the quadratic-subfield field empty
+    ("a;3;S3;-23;23:t(2.1);-23", "reserved for abelian"),
+    # tame data at a prime dividing the closure modulus
+    ("a;3;S3;-135;3:t(2.1),5:t(3);", "divides the closure modulus"),
+    # wild data at a prime coprime to the closure modulus
+    ("a;3;S3;-23;23:w(1);", "coprime to the closure modulus"),
+    # wrong-degree inertia class
+    ("a;3;S3;-20;5:t(2.1.1);", "has degree 4"),
+    # trivial inertia class
+    ("a;3;S3;-23;23:t(1.1.1);", "trivial"),
+    # abelian tame class must be a regular type of a group element
+    ("a;4;C2xC2;-175;5:t(2.1.1),7:t(4);", "regular type"),
+    ("a;2;C2;15;3:t(1.1),5:t(2);", "trivial"),
+    # primes out of order / repeated
+    ("a;3;S3;-115;23:t(2.1),5:t(2.1);", "distinct and sorted"),
+    ("a;3;S3;-2645;23:t(2.1),23:t(3);", "distinct and sorted"),
+    # local product disagrees with |disc|
+    ("a;3;S3;-46;23:t(2.1);", "!= |disc|"),
+    # non-fundamental quadratic subfield discriminant
+    ("a;2;C2;12;2:w(2),3:t(2);45", "not a fundamental discriminant"),
+]
+
+
+@pytest.mark.parametrize("line,fragment", VALIDATION_CASES)
 def test_validation_errors(line, fragment):
     with pytest.raises(RecordValidationError) as err:
         parse_record(line)
@@ -194,8 +195,63 @@ def test_validation_errors(line, fragment):
     assert "record 'a'" in str(err.value)
 
 
+def hand_built(line: str) -> FieldRecord:
+    """The record a line spells, built through ``LocalDatum`` and
+    ``CycleType`` directly rather than through the parser."""
+    label, degree, group, disc, local_text, quad_text = line.split(";")
+    local = []
+    for chunk in local_text.split(","):
+        prime, kind, value = chunk[:-1].replace("(", ":").split(":")
+        if kind == "t":
+            parts = tuple(int(p) for p in value.split("."))
+            local.append(LocalDatum(int(prime), tame_class=CycleType(parts)))
+        else:
+            local.append(LocalDatum(int(prime), wild_valuation=int(value)))
+    quads = tuple(int(q) for q in quad_text.split(",")) if quad_text else ()
+    return FieldRecord(label, int(degree), group, int(disc), tuple(local), quads)
+
+
+@pytest.mark.parametrize("line,fragment", VALIDATION_CASES)
+def test_hand_built_records_fail_the_same_checks(line, fragment):
+    with pytest.raises(RecordValidationError) as parsed:
+        parse_record(line)
+    with pytest.raises(RecordValidationError) as built:
+        hand_built(line).validate()
+    assert str(built.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "good,bad,message",
+    [
+        # same degree and closure modulus; only the group exponent differs
+        (
+            "g;4;C4;125;5:t(4);5",
+            "b;4;C2xC2;125;5:t(4);5",
+            "record 'b': inertia class at 5 is not the regular type of a "
+            "group element",
+        ),
+        (
+            "g;3;S3;-7;7:t(2.1);",
+            "b;2;C2;-7;7:t(2.1);-7",
+            "record 'b': inertia class at 7 has degree 3, record degree 2",
+        ),
+    ],
+)
+def test_datum_checks_depend_on_the_record_shape(good, bad, message):
+    assert load_dataset(good + "\n").records[0].label == "g"
+    for lines in ((good, bad), (bad, good)):
+        with pytest.raises(RecordValidationError) as err:
+            load_dataset("\n".join(lines) + "\n")
+        assert str(err.value) == message
+
+
+def test_repeated_chunks_share_one_datum():
+    data = load_dataset("x;3;S3;-23;23:t(2.1);\ny;3;S3;-23;23:t(2.1);\n")
+    assert data.records[0].local[0] is data.records[1].local[0]
+
+
 def test_wild_valuation_must_be_positive():
-    with pytest.raises(SdxaError):
+    with pytest.raises(RecordParseError):
         parse_record("a;3;S3;-23;2:w(0);")
 
 
