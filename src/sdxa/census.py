@@ -96,7 +96,7 @@ def _datum_problem(
 ) -> str | None:
     """What is wrong with ``datum`` in a record of this degree and closure
     modulus, or None; ``exponent`` is the abelian group's exponent, None for a
-    symmetric record.  Cached, so each shape checks a repeated datum once."""
+    symmetric record.  Cached for the length of one :func:`load_dataset`."""
     tame, prime = datum.tame_class, datum.prime
     if tame is None:
         if modulus % prime != 0:
@@ -110,10 +110,7 @@ def _datum_problem(
             f"{modulus}; such primes carry only wild valuations"
         )
     elif tame.degree != degree:
-        return (
-            f"inertia class at {prime} has degree {tame.degree}, record "
-            f"degree {degree}"
-        )
+        return f"inertia class at {prime} has degree {tame.degree}, record degree {degree}"
     elif tame.is_identity():
         return (
             f"inertia class at {prime} is trivial; unramified primes must not "
@@ -274,8 +271,8 @@ class Dataset:
 @lru_cache(maxsize=None)
 def _parse_datum(chunk: str) -> LocalDatum | str:
     """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, or
-    the message of its parse error.  Cached, so records that repeat a chunk
-    share one datum."""
+    the message of its parse error.  Cached for the length of one
+    :func:`load_dataset`, so records of a file that repeat a chunk share a datum."""
     prime_text, _, type_text = chunk.partition(":")
     try:
         prime = int(prime_text)
@@ -298,8 +295,8 @@ def _parse_datum(chunk: str) -> LocalDatum | str:
 
 def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
     """Parse one record line; raises :class:`RecordParseError` with the line
-    number on malformed input.  Each distinct local-data chunk is parsed, and
-    checked for each record shape, once per process."""
+    number on malformed input.  Chunks repeated in one file are parsed and
+    checked once per record shape."""
     fields = line.split(";")
     if len(fields) != 6:
         raise RecordParseError(
@@ -346,7 +343,10 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content)."""
+    """Parse a whole record file (text content), emptying the chunk caches
+    first, so that no load reuses or keeps alive the chunks of an earlier file."""
+    _parse_datum.cache_clear()
+    _datum_problem.cache_clear()
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()

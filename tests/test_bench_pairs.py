@@ -1,6 +1,5 @@
-"""Unit tests of ``tools/bench_pairs.py``: the summary it writes into a BENCH
-file (per side the median and quartiles, and the pairs the change won), and
-the removal of bytecode caches before each run."""
+"""Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
+BENCH file: per side the median and quartiles, and the pairs the change won."""
 
 from __future__ import annotations
 
@@ -47,19 +46,3 @@ def test_single_pair_gives_degenerate_quartiles():
     assert (entry["better"], entry["bound"], entry["change_wins"]) == (
         "lower", 0.25, 1
     )
-
-
-def test_clear_bytecode_removes_caches_under_src_and_perfbench(tmp_path):
-    kept = [tmp_path / "src" / "sdxa" / "census.py",
-            tmp_path / "tests" / "__pycache__" / "t.pyc",
-            tmp_path / "perfbench" / "run.py"]
-    removed = [tmp_path / "src" / "sdxa" / "__pycache__" / "census.pyc",
-               tmp_path / "src" / "sdxa" / "data" / "__pycache__" / "x.pyc",
-               tmp_path / "perfbench" / "__pycache__" / "run.pyc"]
-    for path in kept + removed:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"")
-    bench_pairs.clear_bytecode(str(tmp_path))
-    assert all(path.exists() for path in kept)
-    assert not any(path.parent.exists() for path in removed)
-    bench_pairs.clear_bytecode(str(tmp_path))  # nothing left to remove

@@ -245,9 +245,12 @@ def test_datum_checks_depend_on_the_record_shape(good, bad, message):
         assert str(err.value) == message
 
 
-def test_repeated_chunks_share_one_datum():
-    data = load_dataset("x;3;S3;-23;23:t(2.1);\ny;3;S3;-23;23:t(2.1);\n")
-    assert data.records[0].local[0] is data.records[1].local[0]
+def test_repeated_chunks_share_one_datum_within_one_file_only():
+    text = "x;3;S3;-23;23:t(2.1);\ny;3;S3;-23;23:t(2.1);\n"
+    first, second = load_dataset(text), load_dataset(text)
+    assert first.records[0].local[0] is first.records[1].local[0]
+    assert first.records[0].local[0] is not second.records[0].local[0]
+    assert first.records[0].local[0] == second.records[0].local[0]
 
 
 def test_wild_valuation_must_be_positive():

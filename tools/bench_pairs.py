@@ -10,10 +10,8 @@ PARENT and CHANGE are two checkouts of the repository, best made with
 workload both trees run ``perfbench/run.py --workload W --seed S --trace 0``
 with the same seed S = first-seed + i; which tree goes first alternates from
 one pair of a workload to the next, and the pairs of different workloads are
-interleaved, so slow spells of a shared machine fall on both sides.  Before
-every run the tree's ``__pycache__`` directories under ``src/`` and
-``perfbench/`` are removed, so neither side imports bytecode the other lacks.
-Every number in the output is copied from the run records
+interleaved, so slow spells of a shared machine fall on both sides.  Every
+number in the output is copied from the run records
 ``perfbench/out/run-W-seedS-trace0.json``: the commit and ``src`` hash of
 each tree, and each run's end-to-end metrics and failure count.  Per workload
 the output also gives each side's median and quartiles of every end-to-end
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -36,21 +33,9 @@ import sys
 SIDES = ("parent", "change")
 
 
-def clear_bytecode(tree: str) -> None:
-    """Remove every ``__pycache__`` directory under ``src/`` and ``perfbench/``
-    in ``tree``, so that each run starts from source as a fresh clone does."""
-    for top in ("src", "perfbench"):
-        for root, dirs, _ in os.walk(os.path.join(tree, top)):
-            if "__pycache__" in dirs:
-                dirs.remove("__pycache__")
-                shutil.rmtree(os.path.join(root, "__pycache__"))
-
-
 def run_once(tree: str, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
-    """One benchmark run in ``tree``, started without bytecode caches; the
-    fields of its run record we keep."""
-    clear_bytecode(tree)
+    """One benchmark run in ``tree``; the fields of its run record we keep."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
