@@ -8,8 +8,8 @@ The package is organized bottom-up:
   cyclotomic orbits, and the counting invariants they determine.
 - :mod:`sdxa.indexcalc` — the discrepancy function, equality-case
   classification, exponent margins, and the dyadic tail estimator.
-- :mod:`sdxa.splitting` — splitting patterns, decomposition-orbit
-  enumeration, and discriminant-valuation tables.
+- :mod:`sdxa.splitting` — splitting patterns, Frobenius lifts on
+  inertia-orbit labels, and discriminant-valuation tables.
 - :mod:`sdxa.census` — field-record ingestion, pair composition, counting,
   and dyadic uniformity measurements.
 - :mod:`sdxa.cli` — the ``sdxa`` command-line driver.

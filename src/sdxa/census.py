@@ -68,6 +68,8 @@ class LocalDatum:
     wild_valuation: int | None = None
 
     def __post_init__(self) -> None:
+        if self.prime < 2:
+            raise DomainError(f"prime {self.prime} is below 2")
         if (self.tame_class is None) == (self.wild_valuation is None):
             raise DomainError("exactly one of tame_class/wild_valuation is required")
         if self.wild_valuation is not None and self.wild_valuation < 1:
@@ -322,7 +324,11 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
             if isinstance(datum, str):
                 raise RecordParseError(datum, line_number)
             local.append(datum)
-    quads = tuple(int(q) for q in quad_text.split(",")) if quad_text else ()
+    try:
+        quads = tuple(int(q) for q in quad_text.split(",")) if quad_text else ()
+    except ValueError:
+        msg = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
+        raise RecordParseError(msg, line_number) from None
     record = FieldRecord(
         label=label,
         degree=degree,

@@ -1,17 +1,18 @@
-"""Tame splitting patterns, decomposition-orbit enumeration, and
-discriminant-valuation tables.
+"""Tame splitting patterns, Frobenius lifts acting on inertia-orbit labels,
+and discriminant-valuation tables.
 
 A splitting pattern is the multiset of (ramification index, inertial degree)
-pairs describing how a prime factors in a field.  At a tame prime everything
-is governed by two permutations: a generator of the cyclic inertia group and
-a Frobenius lift normalizing it.  Enumerating all group-theoretically possible
-Frobenius lifts yields every pattern compatible with a given inertia class;
-running that enumeration for the product action regenerates the package's
-golden valuation tables.
+pairs describing how a prime factors in a field.  At a tame prime it is fixed
+by the inertia class (g, h) in S_d x A and a Frobenius lift normalising the
+inertia group.  Running over every group-theoretically possible lift yields
+every pattern compatible with the class; running that for each class of the
+degree-d side regenerates the package's golden valuation tables.
 
-Over all primes, the Frobenius lifts that commute with inertia (g, h) already
-give every pattern: sigma in the centraliser of g, and one translation tau per
-coset of <h> (see :func:`decomposition_patterns`).
+Over all primes, the lifts that commute with inertia already give every
+pattern, and each is cycle data: a permutation of the equal-length cycles of
+g, a rotation of each, and a translation of A.  Such a lift permutes labels
+of the inertia orbits, and the pattern is read off that permutation, without
+a permutation of the d * |A| points (see :func:`decomposition_patterns`).
 """
 
 from __future__ import annotations
@@ -19,26 +20,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 from math import gcd, lcm
 
 from .errors import DegreeMismatchError, DomainError, PatternError
 from .groups import (
     AbelianElement,
     AbelianGroup,
+    element_order,
     factorize,
     regular_cycle_type,
-    regular_permutation,
 )
 from .indexcalc import delta
-from .perms import (
-    CycleType,
-    Permutation,
-    all_permutations,
-    ind,
-    pair_index,
-    partitions,
-    product_embed,
-)
+from .perms import CycleType, ind, pair_index, partitions
 
 _TOKEN_RE = re.compile(r"^(\d+)\^(?:(\d+)|\{(\d+)\})$")
 
@@ -184,14 +178,14 @@ def decomposition_patterns(
 ) -> frozenset[SplittingPattern]:
     """Every splitting pattern compatible with inertia class (g, h).
 
-    The inertia generator iota is the product permutation of a fixed
-    representative of ``g`` with the translation action of ``h``.  Frobenius
-    lifts are the product-group permutations phi = (sigma, tau) conjugating
-    iota to a coprime power iota^u (every unit class is admissible — each is
-    hit by infinitely many primes).  Each lift's decomposition orbits, refined
-    into inertia orbits, give one (e, f) factor per decomposition orbit.
+    The inertia generator iota acts on the d * |A| points (x, a) as
+    (g x, a + h), for a fixed representative of ``g``.  Frobenius lifts are
+    the product-group elements phi = (sigma, tau) conjugating iota to a
+    coprime power iota^u (every unit class is admissible — each is hit by
+    infinitely many primes).  Each decomposition orbit of <iota, phi>,
+    refined into inertia (iota-)orbits, gives one (e, f) factor.
 
-    A is abelian, so tau commutes with h's regular permutation and
+    A is abelian, so tau commutes with translation by h and
     phi iota phi^-1 = (sigma g sigma^-1, h).  Two reductions leave only the
     lifts with sigma in the centraliser C(g) and one tau per coset of <h>:
 
@@ -203,10 +197,20 @@ def decomposition_patterns(
        A-coordinate by (u-1)k h = 0.  A pattern depends only on that
        permutation of iota-orbits.
     2. <iota, phi> = <iota, phi iota^j>, and phi iota^j = (sigma g^j, tau + jh)
-       with sigma g^j still in C(g).  So one tau per coset of <h> is enough;
-       the cosets are the cycles of h's regular permutation.
+       with sigma g^j still in C(g).  So one tau per coset of <h> is enough.
 
-    Each surviving phi is still checked to commute with iota.
+    No point is needed after that, only labels of iota-orbits.  Take a
+    g-cycle C of length c and a coset K = a_K + <h> of size o = ord(h).  The
+    iota-orbits on C x K are labelled by lambda = (i - j) mod gcd(c, o), where
+    (g^i x_C, a_K + jh) is a point of the orbit: iota adds 1 to both i and j,
+    and by the Chinese remainder theorem the points with one label form one
+    orbit, of length lcm(c, o).  Write sigma in C(g) = prod_c C_c wr S_{m_c}
+    as sigma(g^i x_C) = g^(i + r_C) x_pi(C), and a_K + tau = a_K' + s_K h.
+    Then phi sends the label (C, K, lambda) to
+    (pi(C), K', lambda + r_C - s_K mod gcd(c, o)), and each cycle of that
+    action on labels is one factor (lcm(c, o), cycle length).  Only r_C mod
+    gcd(c, o) matters, so each tau needs prod_c m_c! gcd(c, o)^m_c lifts,
+    all commuting with iota by construction.
 
     >>> c2 = AbelianGroup.from_label("C2")
     >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)
@@ -214,61 +218,49 @@ def decomposition_patterns(
     ['(1^2 1^2 1^2)', '(2^2 1^2)']
     """
     _check_pair(g, h, d, group)
-    if d > 6:
-        raise DomainError("Frobenius enumeration is capped at d = 6")
-    base, h_perm = g.representative(), regular_permutation(h)
-    iota = product_embed(base, h_perm)
-    elements = group.elements()
-    translations = [
-        regular_permutation(elements[coset[0] - 1]) for coset in h_perm.cycles()
+    o, parts = element_order(h), g.parts
+    coset: dict[tuple[int, ...], tuple[int, int]] = {}  # a_K + jh -> (K, j)
+    bases: list[AbelianElement] = []
+    for a in group.elements():
+        if a.residues not in coset:
+            for j in range(o):
+                coset[a.add(h.scale(j)).residues] = (len(bases), j)
+            bases.append(a)
+    blocks = []  # per cycle length c: every C -> (pi(C), r_C) on the c-cycles
+    for c in set(parts):
+        cycles = [C for C, part in enumerate(parts) if part == c]
+        blocks.append(
+            [
+                tuple(zip(cycles, zip(image, rotation)))
+                for image in permutations(cycles)
+                for rotation in product(range(gcd(c, o)), repeat=len(cycles))
+            ]
+        )
+    labels = [
+        (C, K, lam)
+        for C, c in enumerate(parts)
+        for K in range(len(bases))
+        for lam in range(gcd(c, o))
     ]
     patterns: set[SplittingPattern] = set()
-    for sigma in all_permutations(d):
-        if _conjugate(sigma, base) != base.images:
-            continue
-        for tau in translations:
-            phi = product_embed(sigma, tau)
-            if _conjugate(phi, iota) != iota.images:
-                raise AssertionError("a centraliser lift does not commute with iota")
-            patterns.add(_orbit_pattern(iota, phi))
+    for tau in bases:
+        moves = [coset[base.add(tau).residues] for base in bases]  # K -> (K', s_K)
+        for choice in product(*blocks):
+            sigma = dict(pair for block in choice for pair in block)
+            seen: set[tuple[int, int, int]] = set()
+            factors: list[tuple[int, int]] = []
+            for label in labels:
+                e, f = lcm(parts[label[0]], o), 0
+                while label not in seen:
+                    seen.add(label)
+                    f += 1
+                    C, K, lam = label
+                    (image, r), (image_k, s) = sigma[C], moves[K]
+                    label = (image, image_k, (lam + r - s) % gcd(parts[C], o))
+                if f:
+                    factors.append((e, f))
+            patterns.add(SplittingPattern(tuple(factors)))
     return frozenset(patterns)
-
-
-def _conjugate(phi: Permutation, x: Permutation) -> tuple[int, ...]:
-    """The images of phi x phi^-1."""
-    images = [0] * x.degree
-    for point, image in enumerate(x.images):
-        images[phi.images[point] - 1] = phi.images[image - 1]
-    return tuple(images)
-
-
-def _orbit_pattern(iota: Permutation, phi: Permutation) -> SplittingPattern:
-    """Factor the point set into decomposition orbits of <iota, phi> and count
-    the inertia (iota-)orbits inside each."""
-    inertia_size = {point - 1: len(c) for c in iota.cycles() for point in c}
-    seen = [False] * iota.degree
-    factors: list[tuple[int, int]] = []
-    for start in range(iota.degree):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        orbit = []
-        while stack:
-            point = stack.pop()
-            orbit.append(point)
-            for image in (iota.images[point] - 1, phi.images[point] - 1):
-                if not seen[image]:
-                    seen[image] = True
-                    stack.append(image)
-        sizes = {inertia_size[point] for point in orbit}
-        if len(sizes) != 1:
-            raise AssertionError(
-                "inertia orbits inside one decomposition orbit differ in size"
-            )
-        e = sizes.pop()
-        factors.append((e, len(orbit) // e))
-    return SplittingPattern(tuple(factors))
 
 
 def disc_valuation_pair(

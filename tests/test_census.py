@@ -151,6 +151,9 @@ def test_parse_wild_only_record():
         ("a;3;S3;-23;q:t(2.1);", "bad prime"),
         ("a;3;S3;-23;23:t(0.1);", "parts must be positive"),
         ("a;3;S3;-23;23:w(0);", "must carry a positive valuation"),
+        ("a;3;S3;-23;0:w(1);", "prime 0 is below 2"),
+        ("a;3;S3;-23;-23:t(2.1);", "prime -23 is below 2"),
+        ("a;2;C2;5;5:t(2);x", "quadratic-subfield discriminants must be integers"),
     ],
 )
 def test_parse_errors(line, fragment):

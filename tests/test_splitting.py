@@ -6,6 +6,7 @@ mask (or fake) agreement.  Advisory cells are asserted to be defective rather
 than contained.
 """
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -13,9 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
-from sdxa import splitting
 from sdxa.errors import DegreeMismatchError, DomainError, PatternError
-from sdxa.groups import AbelianGroup, regular_cycle_type, regular_permutation
+from sdxa.groups import (
+    AbelianGroup,
+    factorize,
+    regular_cycle_type,
+    regular_permutation,
+)
 from sdxa.indexcalc import delta
 from sdxa.perms import (
     CycleType,
@@ -29,7 +34,6 @@ from sdxa.perms import (
 )
 from sdxa.splitting import (
     SplittingPattern,
-    _orbit_pattern,
     decomposition_patterns,
     disc_valuation_pair,
     format_pattern,
@@ -139,6 +143,35 @@ class TestInertiaOrbits:
                         )
 
 
+def _orbit_pattern(iota: Permutation, phi: Permutation) -> SplittingPattern:
+    """Factor the point set into decomposition orbits of <iota, phi> and count
+    the inertia (iota-)orbits inside each."""
+    inertia_size = {point - 1: len(c) for c in iota.cycles() for point in c}
+    seen = [False] * iota.degree
+    factors: list[tuple[int, int]] = []
+    for start in range(iota.degree):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        orbit = []
+        while stack:
+            point = stack.pop()
+            orbit.append(point)
+            for image in (iota.images[point] - 1, phi.images[point] - 1):
+                if not seen[image]:
+                    seen[image] = True
+                    stack.append(image)
+        sizes = {inertia_size[point] for point in orbit}
+        if len(sizes) != 1:
+            raise AssertionError(
+                "inertia orbits inside one decomposition orbit differ in size"
+            )
+        e = sizes.pop()
+        factors.append((e, len(orbit) // e))
+    return SplittingPattern(tuple(factors))
+
+
 def brute_force_patterns(g, h, d, group):
     """The oracle for decomposition_patterns: every (sigma, tau) in S_d x A,
     each embedded on d * |A| points and kept when it conjugates the inertia
@@ -189,43 +222,56 @@ def test_normaliser_enumeration_matches_brute_force(d, label):
         ), (g, h)
 
 
-@pytest.mark.parametrize("d,parts", [(3, (2, 1)), (5, (2, 2, 1))])
-def test_lift_count_does_not_grow_with_the_prime(monkeypatch, d, parts):
-    """One product embedding for iota and one per centraliser element: a
-    table row for C101 costs what the row for C5 costs."""
-    calls = []
+@pytest.mark.parametrize("parts", [(2, 2, 1), (4, 1)])
+def test_patterns_for_a_larger_prime_rescale_the_c5_patterns(parts):
+    """A prime p dividing no part of g only stretches each inertia orbit:
+    every factor (5c, f) for C5 becomes (pc, f) for C_p."""
+    g = CycleType(parts)
 
-    def counting_embed(sigma, tau):
-        calls.append(sigma)
-        return product_embed(sigma, tau)
-
-    monkeypatch.setattr(splitting, "product_embed", counting_embed)
-    counts = []
-    for p in (5, 101):
+    def patterns(p):
         group = AbelianGroup.from_label(f"C{p}")
-        calls.clear()
-        g, h = CycleType(parts), group.element((1,))
-        decomposition_patterns.__wrapped__(g, h, d, group)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        return decomposition_patterns(g, group.element((1,)), 5, group)
+
+    for p in range(5, 102):
+        if factorize(p) != {p: 1} or any(c % p == 0 for c in parts):
+            continue
+        rescaled = {
+            SplittingPattern(tuple((e // 5 * p, f) for e, f in pattern.factors))
+            for pattern in patterns(5)
+        }
+        assert patterns(p) == rescaled, p
 
 
-def test_lift_that_does_not_commute_with_iota_raises(monkeypatch):
-    calls = []
+def test_table_path_builds_no_permutation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a permutation was built on the table path")
 
-    def skewed_embed(sigma, tau):
-        # The first call builds iota; every later one a lift, skewed by (1 2).
-        calls.append(sigma)
-        phi = product_embed(sigma, tau)
-        if len(calls) == 1:
-            return phi
-        return Permutation.from_cycles(phi.degree, [(1, 2)]).compose(phi)
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    decomposition_patterns.cache_clear()
+    for d in (3, 4, 5):
+        for label in ("C2", "C3", "C5", "C7"):
+            generate_table.__wrapped__(d, AbelianGroup.from_label(label))
 
-    monkeypatch.setattr(splitting, "product_embed", skewed_embed)
-    c5 = AbelianGroup.from_label("C5")
-    g, h = CycleType((2, 1)), c5.element((1,))
-    with pytest.raises(AssertionError, match="does not commute with iota"):
-        decomposition_patterns.__wrapped__(g, h, 3, c5)
+
+def test_degree_seven_needs_no_cap():
+    trivial = AbelianGroup(())
+    for g in partitions(7):
+        per_length = [
+            [[(c, part) for part in mu.parts] for mu in partitions(g.parts.count(c))]
+            for c in set(g.parts)
+        ]
+        closed_form = {
+            SplittingPattern(tuple(f for factors in choice for f in factors))
+            for choice in product(*per_length)
+        }
+        assert decomposition_patterns(g, trivial.identity(), 7, trivial) == closed_form
+    for label in ("C2", "C3"):
+        group = AbelianGroup.from_label(label)
+        for g in partitions(7):
+            for h in group.elements():
+                expected = inertia_orbits(g, h, 7, group)
+                for pattern in decomposition_patterns(g, h, 7, group):
+                    assert pattern.ramification_indices == expected
 
 
 class TestDecompositionPatterns:
