@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -433,8 +434,17 @@ class PrimeBreakdown:
     v_fk: int
 
 
-@dataclass(frozen=True)
-class ComposeResult:
+class _ComposeFields(NamedTuple):
+    magnitude: int
+    naive_magnitude: int
+    lower_bound: int
+    unresolved_primes: tuple[int, ...]
+    shared: tuple[tuple[int, int | None], ...]
+    f_record: FieldRecord
+    k_record: FieldRecord
+
+
+class ComposeResult(_ComposeFields):
     """Composed discriminant magnitude for one (F, K) pair.
 
     ``magnitude`` applies every resolved discrepancy and zero at unresolved
@@ -445,15 +455,16 @@ class ComposeResult:
     [lower_bound, naive_magnitude].  ``shared`` holds ``(prime, delta_p)`` at
     each prime where both records ramify, the only primes with a discrepancy;
     ``breakdown`` is derived from it and the two records on first access.
+    A tuple, cheap to build, with a frozen dataclass's assignment, equality and hash.
     """
 
-    magnitude: int
-    naive_magnitude: int
-    lower_bound: int
-    unresolved_primes: tuple[int, ...]
-    shared: tuple[tuple[int, int | None], ...]
-    f_record: FieldRecord
-    k_record: FieldRecord
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ComposeResult and tuple.__eq__(self, other)
+
+    __delattr__, __ne__, __hash__ = __setattr__, object.__ne__, tuple.__hash__
 
     @property
     def exact(self) -> bool:
@@ -495,7 +506,10 @@ def compose_disc(
     discrepancy follows from the two inertia classes, and at a shared prime
     with wild data it is taken from ``overrides`` or the prime is reported
     unresolved.  Shared primes come out ascending: the walk follows
-    ``f_record.local``, which validation keeps sorted and distinct.
+    ``f_record.local``, which validation keeps sorted and distinct.  A pair
+    that shares no ramified prime skips the walk: a discrepancy, an unresolved
+    prime and an overlap arise only where both records ramify, so it has
+    ``magnitude == naive_magnitude == lower_bound`` and nothing unresolved.
     """
     if not f_record.is_symmetric:
         raise DomainError(
@@ -506,7 +520,9 @@ def compose_disc(
     d, group = f_record.degree, k_record.abelian_group
     order = group.order
     k_local = k_record.local_by_prime
-    naive_magnitude = abs(f_record.disc) ** order * abs(k_record.disc) ** d
+    naive = abs(f_record.disc) ** order * abs(k_record.disc) ** d
+    if k_local.keys().isdisjoint(f_record.local_by_prime):
+        return ComposeResult(naive, naive, naive, (), (), f_record, k_record)
     discrepancy = overlap = 1
     unresolved: list[int] = []
     shared: list[tuple[int, int | None]] = []
@@ -533,9 +549,9 @@ def compose_disc(
         discrepancy *= p ** (delta_p or 0)
         overlap *= p ** min(order * v_f, d * v_k)
     return ComposeResult(
-        naive_magnitude // discrepancy,
-        naive_magnitude,
-        naive_magnitude // overlap,
+        naive // discrepancy,
+        naive,
+        naive // overlap,
         tuple(unresolved),
         tuple(shared),
         f_record,
@@ -652,20 +668,15 @@ def _count(
         scale = x ** (1 / group.order)
     except OverflowError:
         raise DomainError("x is beyond the float range") from None
-    count = 0
-    flagged = 0
+    count = flagged = 0
     for f_record, k_record in iter_census_pairs(dataset, d, group):
         result = compose_disc(f_record, k_record, overrides)
-        if result.exact:
-            magnitude = (
-                result.magnitude
-                if y is None
-                else truncated_magnitude(result, group.order, d, y)
-            )
-            if magnitude < x:
-                count += 1
-        elif result.lower_bound < x:
-            flagged += 1
+        if not result.exact:
+            flagged += result.lower_bound < x
+        elif y is None:
+            count += result.magnitude < x
+        else:
+            count += truncated_magnitude(result, group.order, d, y) < x
     return CensusResult(
         x=x,
         count=count,

@@ -999,13 +999,15 @@ def test_counts_match_oracle_driven_counts(bundled, oracle_pairs, y):
 
 
 @pytest.mark.parametrize("y", [None, 100])
-def test_census_calls_each_layer_once_per_pair(bundled, monkeypatch, y):
-    # the binding sites the benchmark tracer wraps; one compose_disc per
-    # disjoint pair, one linearly_disjoint per candidate pair, one delta per
-    # shared tame-tame prime of a disjoint pair
+def test_census_calls_each_layer_once_per_pair(monkeypatch, y):
+    # the binding sites the benchmark tracer wraps; one parse_record per
+    # fixture record, one compose_disc per disjoint pair, one
+    # linearly_disjoint per candidate pair, one delta per shared tame-tame
+    # prime of a disjoint pair
     import sdxa.census as census
 
-    calls = dict.fromkeys(("compose_disc", "linearly_disjoint", "delta"), 0)
+    names = ("parse_record", "compose_disc", "linearly_disjoint", "delta")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(census, name), **kwargs):
@@ -1013,12 +1015,17 @@ def test_census_calls_each_layer_once_per_pair(bundled, monkeypatch, y):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(census, name, counted)
+    dataset = ingest(str(FIXTURE))
+    assert calls["parse_record"] == 385
     if y is None:
-        count_N(bundled, 3, C2, 10**6)
+        count_N(dataset, 3, C2, 10**6)
     else:
-        count_N_truncated(bundled, 3, C2, 10**6, y)
+        count_N_truncated(dataset, 3, C2, 10**6, y)
     assert calls == {
-        "compose_disc": 19_704, "linearly_disjoint": 19_764, "delta": 1_441
+        "parse_record": 385,
+        "compose_disc": 19_704,
+        "linearly_disjoint": 19_764,
+        "delta": 1_441,
     }
 
 
@@ -1041,6 +1048,60 @@ def test_compose_result_is_frozen(bundled):
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.magnitude = 0
     assert "breakdown" not in vars(result)
+
+
+COMPOSE_FIELDS = (
+    "magnitude",
+    "naive_magnitude",
+    "lower_bound",
+    "unresolved_primes",
+    "shared",
+    "f_record",
+    "k_record",
+)
+
+
+def test_compose_result_compares_as_a_frozen_dataclass(bundled):
+    import dataclasses
+
+    f_rec, k_rec = bundled.get("3.-104.1"), bundled.by_group("C2")[0]
+    first, second = compose_disc(f_rec, k_rec), compose_disc(f_rec, k_rec)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    other = compose_disc(f_rec, bundled.by_group("C2")[1])
+    assert first != other and not first == other
+    fields = tuple(getattr(first, name) for name in COMPOSE_FIELDS)
+    assert first != fields and fields != first
+    assert not first == fields and not fields == first
+    for name in COMPOSE_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(first, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.breakdown = ()
+    assert "breakdown" not in vars(first)
+    breakdown = first.breakdown
+    assert vars(first)["breakdown"] is breakdown is first.breakdown
+    assert first == second and hash(first) == hash(second)
+
+
+def test_compose_without_a_shared_prime_is_exact_and_naive():
+    # F is wild at 3 and K wild at 2; their tame primes 5 and 7 differ
+    f_rec = _hand_record("f", "S3", "3:w(3),5:t(2.1)")
+    k_rec = _hand_record("k", "C2", "2:w(2),7:t(2)")
+    result = compose_disc(f_rec, k_rec)
+    naive = (3**3 * 5) ** 2 * (2**2 * 7) ** 3
+    assert result.exact
+    assert result.magnitude == result.naive_magnitude == result.lower_bound == naive
+    assert result.unresolved_primes == result.shared == ()
+    assert [entry.delta_p for entry in result.breakdown] == [0, 0, 0, 0]
+    _assert_matches_oracle(f_rec, k_rec)
+    # an override keyed at either wild prime has no shared prime to apply to
+    overrides = WildOverrides(
+        {(2, 0, 2): 1, (2, 2, 2): 2, (3, 3, 0): 1, (3, 3, 1): 2}
+    )
+    assert compose_disc(f_rec, k_rec, overrides) == result
+    _assert_matches_oracle(f_rec, k_rec, overrides)
 
 
 def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
