@@ -126,6 +126,12 @@ def _datum_problem(
     return None
 
 
+@lru_cache(maxsize=None)
+def _abelian_group(label: str) -> AbelianGroup:
+    """``AbelianGroup.from_label``, cached for one :func:`load_dataset`."""
+    return AbelianGroup.from_label(label)
+
+
 @dataclass(frozen=True)
 class FieldRecord:
     """One census entry: a number field described by its degree, Galois
@@ -140,17 +146,18 @@ class FieldRecord:
     local: tuple[LocalDatum, ...]
     quad_subfield_discs: tuple[int, ...] = ()
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.group in _SYMMETRIC_GROUPS
+    def __post_init__(self) -> None:
+        # ``is_symmetric`` is read in every census pair, so it is worked out
+        # once, into the instance dict: not a field, so not in eq, hash or repr.
+        self.__dict__["is_symmetric"] = self.group in _SYMMETRIC_GROUPS
 
     @cached_property
     def abelian_group(self) -> AbelianGroup:
         """The parsed abelian group, computed on first access and kept on the
-        record."""
+        record; records of one load share the group their label parses to."""
         if self.is_symmetric:
             raise DomainError(f"record {self.label!r} is not abelian")
-        return AbelianGroup.from_label(self.group)
+        return _abelian_group(self.group)
 
     @property
     def closure_modulus(self) -> int:
@@ -350,10 +357,11 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content), emptying the chunk caches
-    first, so that no load reuses or keeps alive the chunks of an earlier file."""
+    """Parse a whole record file (text content), emptying the chunk and group
+    caches first, so that no load reuses or keeps alive those of an earlier file."""
     _parse_datum.cache_clear()
     _datum_problem.cache_clear()
+    _abelian_group.cache_clear()
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()
@@ -408,7 +416,7 @@ class WildOverrides:
                 table[key] = int(entry["delta"])
         except KeyError as exc:
             raise DomainError(f"wild override entry lacks the key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed wild overrides: {exc}") from None
         if any(value < 0 for value in table.values()):
             raise DomainError("override discrepancies must be non-negative")

@@ -22,11 +22,16 @@ the ``#`` magnitude lines of ``compose``, are printed in both formats.
 
 Exit codes: 0 on success, 1 on any library error (bad data, domain errors),
 2 on command-line usage errors.
+
+:func:`main` may be called any number of times in one process.  It builds the
+argument parser once, on its first call, and every later call parses its own
+argv with it; no argv, file or result is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -270,7 +275,8 @@ def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
         ]
     except KeyError as exc:
         raise DomainError(f"uniformity spec lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise DomainError(f"malformed uniformity spec: {exc}") from None
     return [
         UniformityBin(
@@ -299,6 +305,7 @@ def cmd_uniformity(args) -> int:
     return _render(args.format, rows, heading=[f"bins: {described}"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdxa",
@@ -382,8 +389,7 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
     )
     try:

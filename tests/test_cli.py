@@ -575,3 +575,81 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,file_text,message",
+    [
+        (["census", "--d", "3", "--A", "C2", "--X", "10", "--wild-overrides"],
+         '{"overrides": [{"p": 2, "f_val": 2, "k_val": 2, "delta": 1e400}]}',
+         "malformed wild overrides"),
+        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
+         '{"overrides": [{"p": 1e400, "f_val": 2, "k_val": 2, "delta": 1}]}',
+         "malformed wild overrides"),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         '{"bins": [{"classes": ["3"], "q": 1e400}]}',
+         "malformed uniformity spec"),
+    ],
+    ids=["overrides-delta", "overrides-p", "spec-q"],
+)
+def test_json_infinity_is_a_malformed_file(capsys, tmp_path, argv, file_text,
+                                           message):
+    # JSON reads 1e400 as float('inf'), which int() refuses with OverflowError.
+    path = tmp_path / "input.json"
+    path.write_text(file_text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
+
+
+def test_cached_parser_keeps_no_state_between_commands(capsys, tmp_path):
+    spec = tmp_path / "bins.json"
+    spec.write_text(json.dumps(README_SPEC))
+    uniformity = ["uniformity", "--d", "3", "--uniformity-spec", str(spec)]
+    tail = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2"]
+    sequence = [
+        ["invariants", "--d", "3", "--A", "C2"],
+        ["delta-table", "--d", "3", "--A", "C3", "--format", "tsv"],
+        ["census", "--d", "3", "--A", "C2"],  # usage error: no --X
+        ["verify-lemmas", "--d", "3", "--A", "C2"],
+        [*uniformity, "--X", "500", "--X", "2000"],
+        [*uniformity, "--X", "500"],
+        [*tail, "--Y", "16", "65536"],
+        [*tail, "--Y", "16", "--beta", "-1/1000", "--epsilon", "1/10000"],
+        [*tail, "--Y", "16"],
+        ["compose", "--F", "no-such-label", "--K", "2.-4.1"],  # error: line
+        ["compose", "--F", "3.-23.1", "--K", "2.-4.1", "--format", "tsv"],
+        ["census", "--d", "3", "--A", "C2", "--X", "1000"],
+        [*uniformity, "--X", "2000", "--format", "tsv"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli.build_parser.cache_clear()
+    cached = [outcome(argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+    assert cached[4][1].count("\n") == 4 and cached[5][1].count("\n") == 3
+    assert "beta = -1/1000 (explicit), epsilon = 1/10000" in cached[7][1]
+    assert cached[6][1].count("\n") == 5 and cached[8][1].count("\n") == 4
+    assert "(preset), epsilon = 1/1000" in cached[8][1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sdxa.cli as cli; info = cli.build_parser.cache_info(); "
+            "print(info.hits + info.misses)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
