@@ -126,12 +126,6 @@ def _datum_problem(
     return None
 
 
-@lru_cache(maxsize=None)
-def _abelian_group(label: str) -> AbelianGroup:
-    """``AbelianGroup.from_label``, cached for one :func:`load_dataset`."""
-    return AbelianGroup.from_label(label)
-
-
 @dataclass(frozen=True)
 class FieldRecord:
     """One census entry: a number field described by its degree, Galois
@@ -146,18 +140,17 @@ class FieldRecord:
     local: tuple[LocalDatum, ...]
     quad_subfield_discs: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        # ``is_symmetric`` is read in every census pair, so it is worked out
-        # once, into the instance dict: not a field, so not in eq, hash or repr.
-        self.__dict__["is_symmetric"] = self.group in _SYMMETRIC_GROUPS
+    @property
+    def is_symmetric(self) -> bool:
+        return self.group in _SYMMETRIC_GROUPS
 
     @cached_property
     def abelian_group(self) -> AbelianGroup:
         """The parsed abelian group, computed on first access and kept on the
-        record; records of one load share the group their label parses to."""
+        record."""
         if self.is_symmetric:
             raise DomainError(f"record {self.label!r} is not abelian")
-        return _abelian_group(self.group)
+        return AbelianGroup.from_label(self.group)
 
     @property
     def closure_modulus(self) -> int:
@@ -357,11 +350,10 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content), emptying the chunk and group
-    caches first, so that no load reuses or keeps alive those of an earlier file."""
+    """Parse a whole record file (text content), emptying the chunk caches
+    first, so that no load reuses or keeps alive the chunks of an earlier file."""
     _parse_datum.cache_clear()
     _datum_problem.cache_clear()
-    _abelian_group.cache_clear()
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()

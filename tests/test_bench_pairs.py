@@ -1,11 +1,9 @@
 """Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
-BENCH file: per side the median and quartiles, the pairs the change won, and
-the traced runs with their per-layer medians."""
+BENCH file: per side the median and quartiles, and the pairs the change won."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -48,48 +46,3 @@ def test_single_pair_gives_degenerate_quartiles():
     assert (entry["better"], entry["bound"], entry["change_wins"]) == (
         "lower", 0.25, 1
     )
-
-
-def test_traced_pass_keeps_two_seeds_per_side_and_their_medians(tmp_path,
-                                                                monkeypatch):
-    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
-    for tree in trees.values():
-        tree.mkdir()
-    (trees["change"] / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": METRICS}))
-    calls = []
-
-    def fake_run_once(tree, workload, seed, seconds, trace=0):
-        side = "parent" if tree == str(trees["parent"]) else "change"
-        calls.append((side, workload, seed, trace))
-        scale = 2 if side == "parent" else 1
-        metrics = ({"cli.main.self_ms": scale * seed, "census.pair_yield": 0.5}
-                   if trace else {"throughput_cmd_s": seed / scale,
-                                  "latency_p50_ms": seed * scale})
-        return {"git_sha": side, "src_sha256": side * 2, "metrics": metrics,
-                "trace_self_check": [], "correct": True}
-
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-    out = tmp_path / "BENCH.json"
-    assert bench_pairs.main([
-        "--parent", str(trees["parent"]), "--change", str(trees["change"]),
-        "--pairs", "tables=3", "--pairs", "exponents=1", "--first-seed", "40",
-        "--out", str(out)]) == 0
-    traced_calls = [call for call in calls if call[3] == 1]
-    assert traced_calls == [
-        ("parent", "tables", 40, 1), ("change", "tables", 40, 1),
-        ("parent", "exponents", 40, 1), ("change", "exponents", 40, 1),
-        ("change", "tables", 41, 1), ("parent", "tables", 41, 1),
-        ("change", "exponents", 41, 1), ("parent", "exponents", 41, 1),
-    ]
-    result = json.loads(out.read_text())
-    for workload in ("tables", "exponents"):
-        entry = result["workloads"][workload]
-        for side, scale in (("parent", 2), ("change", 1)):
-            assert [r["metrics"]["cli.main.self_ms"]
-                    for r in entry["traced"][side]] == [40 * scale, 41 * scale]
-            assert entry["traced_median"][side] == {
-                "cli.main.self_ms": 40.5 * scale, "census.pair_yield": 0.5}
-    assert len(result["workloads"]["tables"]["pairs"]) == 3
-    assert result["workloads"]["tables"]["summary"]["latency_p50_ms"][
-        "change_wins"] == 3

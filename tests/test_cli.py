@@ -4,6 +4,7 @@ go through ``main(argv)``."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -602,11 +603,13 @@ def test_json_infinity_is_a_malformed_file(capsys, tmp_path, argv, file_text,
     assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
 
 
-def test_cached_parser_keeps_no_state_between_commands(capsys, tmp_path):
+def test_deferred_subparsers_act_like_a_full_build(capsys, tmp_path,
+                                                  monkeypatch):
     spec = tmp_path / "bins.json"
     spec.write_text(json.dumps(README_SPEC))
     uniformity = ["uniformity", "--d", "3", "--uniformity-spec", str(spec)]
     tail = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2"]
+    census = ["census", "--d", "3", "--A", "C2", "--X", "1000"]
     sequence = [
         ["invariants", "--d", "3", "--A", "C2"],
         ["delta-table", "--d", "3", "--A", "C3", "--format", "tsv"],
@@ -619,8 +622,12 @@ def test_cached_parser_keeps_no_state_between_commands(capsys, tmp_path):
         [*tail, "--Y", "16"],
         ["compose", "--F", "no-such-label", "--K", "2.-4.1"],  # error: line
         ["compose", "--F", "3.-23.1", "--K", "2.-4.1", "--format", "tsv"],
-        ["census", "--d", "3", "--A", "C2", "--X", "1000"],
+        census,
         [*uniformity, "--X", "2000", "--format", "tsv"],
+        # usage and help texts that name the other subcommands
+        [], ["--help"], ["-h", "census"], ["bogus"], ["--", *census],
+        ["-x", *census], [*census, "extra"], ["census", "-h"],
+        ["tail-bound", "--help"],
     ]
 
     def outcome(argv):
@@ -631,25 +638,23 @@ def test_cached_parser_keeps_no_state_between_commands(capsys, tmp_path):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    cli.build_parser.cache_clear()
-    cached = [outcome(argv) for argv in sequence]
-    assert cli.build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in sequence:
-        cli.build_parser.cache_clear()
-        fresh.append(outcome(argv))
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
-    assert cached[4][1].count("\n") == 4 and cached[5][1].count("\n") == 3
-    assert "beta = -1/1000 (explicit), epsilon = 1/10000" in cached[7][1]
-    assert cached[6][1].count("\n") == 5 and cached[8][1].count("\n") == 4
-    assert "(preset), epsilon = 1/1000" in cached[8][1]
+    deferred = [outcome(argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
+    assert deferred == [outcome(argv) for argv in sequence]
+    assert [code for code, _, _ in deferred] == [
+        0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 2, 2, 2, 0, 0]
+    assert deferred[4][1].count("\n") == 4 and deferred[5][1].count("\n") == 3
+    assert "beta = -1/1000 (explicit), epsilon = 1/10000" in deferred[7][1]
+    assert deferred[6][1].count("\n") == 5 and deferred[8][1].count("\n") == 4
+    assert "(preset), epsilon = 1/1000" in deferred[8][1]
+    assert "compose" in deferred[14][1] and "--wild-overrides" in deferred[20][1]
 
 
-def test_importing_the_cli_builds_no_parser():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sdxa.cli as cli; info = cli.build_parser.cache_info(); "
-            "print(info.hits + info.misses)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+def test_a_command_builds_only_the_subparser_it_selects(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, **kwargs: built.append(kwargs.get("prog"))
+                        or init(self, **kwargs))
+    assert cli.main(["invariants", "--d", "3", "--A", "C2"]) == 0
+    assert built == ["sdxa", "sdxa invariants"]

@@ -16,11 +16,9 @@ number in the output is copied from the run records
 each tree, and each run's end-to-end metrics and failure count.  Per workload
 the output also gives each side's median and quartiles of every end-to-end
 metric named in the change tree's ``BENCHMARK.json``, and the number of pairs
-the change won.  After the pairs, each tree runs every workload twice more
-with ``--trace 1``, at the first seed and the one after it, since one traced
-run's per-layer numbers can swing by a third on unchanged code.  The output
-keeps both traced records of each side, with their per-layer metrics and trace
-self-checks, and each side's median of every per-layer metric over them.
+the change won.  After the pairs, each tree runs every workload once more with
+``--trace 1`` at the first seed; the output keeps each side's per-layer
+metrics and trace self-check from those runs.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-TRACED_SEEDS = 2  # traced runs per side and workload, from the first seed on
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float,
@@ -83,12 +80,6 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
-def traced_medians(records: list[dict]) -> dict:
-    """Per metric, the median over one side's traced runs."""
-    return {name: statistics.median(r["metrics"][name] for r in records)
-            for name in records[0]["metrics"]}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent")
@@ -120,13 +111,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", flush=True)
             runs[workload].append(pair)
-    traced = {workload: {side: [] for side in SIDES} for workload in counts}
-    for offset in range(TRACED_SEEDS):
-        for workload in counts:
-            for side in SIDES if offset % 2 == 0 else SIDES[::-1]:
-                traced[workload][side].append(run_once(
-                    trees[side], workload, args.first_seed + offset,
-                    args.seconds, trace=1))
+    traced = {
+        workload: {side: run_once(trees[side], workload, args.first_seed,
+                                  args.seconds, trace=1) for side in SIDES}
+        for workload in counts
+    }
 
     first = {side: runs[next(iter(runs))][0][side] for side in SIDES}
     result = {
@@ -138,15 +127,13 @@ def main(argv: list[str] | None = None) -> int:
                   "src_sha256": first[side]["src_sha256"]} for side in SIDES},
         "workloads": {
             workload: {"pairs": pairs, "summary": summarise(pairs, end_to_end),
-                       "traced": traced[workload],
-                       "traced_median": {side: traced_medians(records) for side,
-                                         records in traced[workload].items()}}
+                       "traced": traced[workload]}
             for workload, pairs in runs.items()
         },
     }
     for workload, pairs in runs.items():
         for side in SIDES:
-            records = [p[side] for p in pairs] + traced[workload][side]
+            records = [p[side] for p in pairs] + [traced[workload][side]]
             shas = {(r["git_sha"], r["src_sha256"]) for r in records}
             if len(shas) != 1 or shas != {tuple(result[side].values())}:
                 raise SystemExit(f"{side} tree changed during the runs: {shas}")
