@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -605,6 +606,17 @@ def missing_coverage(dataset: Dataset, label: str) -> list[str]:
     return [f"no coverage assertion for group {label}"]
 
 
+def product_order(d: int, group: AbelianGroup) -> int:
+    """|A| * d!, the order of S_d x A and the census's wild modulus.  DomainError
+    if Python prints no int that long (``sys.get_int_max_str_digits()``, 0 for
+    no limit, else >= 640); as d! > 10^d for d >= 25, a d past it skips d!."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    order = None if limit and d > limit else group.order * math.factorial(d)
+    if order is None or limit and order >= 10**limit:
+        raise DomainError(f"|S{d} x {group.label()}| = |A| * d! has over {limit} digits")
+    return order
+
+
 def _power_below(base: int, power: int, x: int) -> bool:
     """Whether ``base ** power < x``, never building a power that must exceed
     x: for ``base >= 2`` and ``power > x.bit_length()``, it is ``>= 2 ** power > x``."""
@@ -658,12 +670,10 @@ def _count(
         raise DomainError("the product model requires d >= 3")
     if x < 1:
         raise DomainError("x must be a positive integer")
-    if y is not None:
-        modulus = group.order * math.factorial(d)
-        if y <= modulus:
-            raise DomainError(
-                f"cutoff y = {y} must exceed the wild modulus |A| * d! = {modulus}"
-            )
+    # d! >= 2^(d-1) > y once d > y.bit_length(), so no d! is built to reach y.
+    if y is not None and (d > y.bit_length() or y <= group.order * math.factorial(d)):
+        raise DomainError(f"cutoff y = {y} must exceed the wild modulus |A| * d! = "
+                          f"{product_order(d, group)}")
     try:
         scale = x ** (1 / group.order)
     except OverflowError:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .census import (
     linearly_disjoint,
     measure_uniformity,
     missing_coverage,
+    product_order,
     read_text,
 )
 from .errors import DomainError, SdxaError
@@ -108,14 +108,14 @@ def cmd_invariants(args) -> int:
     group = AbelianGroup.from_label(args.A)
     inv = malle_invariants_product(args.d, group)
     a_abelian, b_abelian = abelian_counting_constants(group)
-    product_order = group.order * math.factorial(args.d)
+    order = product_order(args.d, group)
     return _render(
         args.format,
         [["d", "A", "group_order", "a", "exponent", "b", "a_A", "b_A"],
-         [args.d, group.label(), product_order, inv.a, inv.exponent, inv.b, a_abelian,
+         [args.d, group.label(), order, inv.a, inv.exponent, inv.b, a_abelian,
           b_abelian]],
         heading=[
-            f"product group: S{args.d} x {group.label()} (order {product_order})",
+            f"product group: S{args.d} x {group.label()} (order {order})",
             "count of fields below X grows like a(K) * X^exponent * "
             "(log X)^(b-1) with:",
             f"  a (minimal index)   = {inv.a}",

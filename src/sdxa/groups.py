@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DegreeMismatchError, DomainError
-from .perms import CycleType, Permutation, cycle_type, ind, pair_index, partitions
+from .perms import CycleType, Permutation, partitions
 
 _LABEL_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
 
@@ -345,29 +345,31 @@ class MalleInvariants:
 
 
 def malle_invariants_product(d: int, group: AbelianGroup) -> MalleInvariants:
-    """Minimal index over nontrivial product classes, the reciprocal growth
-    exponent, and the number of cyclotomic orbits attaining the minimum.
+    """Minimal index over nontrivial product classes, its reciprocal, and the
+    number of cyclotomic orbits attaining it: (|A|, 1/|A|, 1) for every d >= 3.
+
+    (tau, 0), tau a transposition, has index |A| * ind(tau) = |A|; any other
+    (g, 0) has |A| * ind(g) >= 2|A|.  For h != 0, an orbit of <(g, h)> above an
+    h_reg-cycle of length c has a multiple of c points, so at most d orbits lie
+    above it, and ``pair_index(g, h_reg)`` >= d * ind(h_reg) >= d|A|/2 > |A|.
+    The one minimal class (tau, 0) is fixed by the power maps, so b = 1.
 
     >>> malle_invariants_product(3, AbelianGroup.from_label("C2"))
     MalleInvariants(a=2, exponent=Fraction(1, 2), b=1)
     """
     if d < 3:
         raise DomainError("the product model requires d >= 3")
-    classes = conjugacy_classes_product(d, group, nontrivial_only=True)
-    indices = [pair_index(c.sd_part, regular_cycle_type(c.a_part)) for c in classes]
-    minimal = min(indices)
-    minimal_classes = [c for c, i in zip(classes, indices) if i == minimal]
-    orbits = cyclotomic_class_orbits(group, minimal_classes)
-    return MalleInvariants(a=minimal, exponent=Fraction(1, minimal), b=len(orbits))
+    return MalleInvariants(group.order, Fraction(1, group.order), 1)
 
 
 def abelian_counting_constants(group: AbelianGroup) -> tuple[Fraction, int]:
-    """Growth constants for counting the abelian fields alone.
-
-    Returns ``(a_A, b_A)`` where ``a_A = 1 / (|A| (1 - 1/p))`` with p the
-    smallest prime dividing |A|, and ``b_A`` is one less than the number of
-    cyclotomic orbits of minimal-index elements (the elements of order p) in
-    the regular representation.
+    """Growth constants for counting the abelian fields alone: ``(a_A, b_A)``
+    with ``a_A = 1 / (|A| (1 - 1/p))``, p the smallest prime dividing |A|, and
+    ``b_A = (p^r - 1)/(p - 1) - 1``, r the number of invariant factors that p
+    divides.  An element of order o has regular index |A| (1 - 1/o), least at
+    o = p, so the minimal elements are the p^r - 1 of order p, in
+    A[p] = (Z/p)^r.  The units mod exp(A) act on them through all of (Z/p)^*,
+    in orbits {j*a : 0 < j < p} of size p - 1: there are (p^r - 1)/(p - 1).
 
     >>> abelian_counting_constants(AbelianGroup.from_label("C2"))
     (Fraction(1, 1), 0)
@@ -376,19 +378,6 @@ def abelian_counting_constants(group: AbelianGroup) -> tuple[Fraction, int]:
     """
     if group.is_trivial:
         raise DomainError("counting constants require a nontrivial group")
-    order = group.order
-    p = min(factorize(order))
-    a_constant = Fraction(1, order - order // p)
-    minimal = order - order // p  # ind of the regular type of an order-p element
-    minimal_elements = {
-        a.residues
-        for a in group.elements()
-        if not a.is_identity and ind(regular_cycle_type(a)) == minimal
-    }
-    orbit_count = sum(
-        1
-        for orbit in galois_orbits(group)
-        if orbit[0].residues in minimal_elements
-    )
-    return a_constant, orbit_count - 1
-
+    p = min(factorize(group.order))
+    r = sum(1 for f in group.invariant_factors if f % p == 0)
+    return Fraction(1, group.order - group.order // p), (p**r - 1) // (p - 1) - 1

@@ -345,6 +345,9 @@ def tail_series(
     q = -math.expm1(log_x)
     if not q:  # x is 1.0 in floats, so (1 - x)^(-m) is past every float
         raise DomainError(f"the tail value overflows at y = {y:g}")
+    comparator = _exp_in_float_range(
+        (m - 1) * math.log(math.log(y)) + e * math.log(y), "the comparator", y
+    )
     log_q = math.log(q)
     n = r_start + m - 1
     logs = [
@@ -354,9 +357,6 @@ def tail_series(
     ]
     top = max(logs)
     log_value = top + math.log(math.fsum(math.exp(t - top) for t in logs))
-    comparator = _exp_in_float_range(
-        (m - 1) * math.log(math.log(y)) + e * math.log(y), "the comparator", y
-    )
     return TailEstimate(
         value=_exp_in_float_range(log_value, "the tail value", y),
         comparator=comparator,

@@ -260,7 +260,7 @@ def test_criterion_4_equality_catalogue():
 
 def test_criterion_5_counting_invariants():
     with criterion(5, "counting-invariants"):
-        for d in DEGREES:
+        for d in range(3, 9):
             transposition = CycleType((2,) + (1,) * (d - 2))
             for group in abelian_groups_up_to(12):
                 order = group.order
@@ -278,7 +278,7 @@ def test_criterion_5_counting_invariants():
                 assert min(indices.values()) == order
                 minimal = [cls for cls, value in indices.items() if value == order]
                 assert minimal == [ProductClass(transposition, group.identity())]
-        for group in abelian_groups_up_to(12):
+        for group in abelian_groups_up_to(64):
             order = group.order
             p = _smallest_prime_factor(order)
             a_constant, orbit_excess = abelian_counting_constants(group)

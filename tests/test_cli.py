@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdxa import cli
+from sdxa import cli, groups, indexcalc
 from sdxa.census import ingest
 from sdxa.groups import AbelianGroup
 from sdxa.splitting import generate_table
@@ -73,6 +74,58 @@ def test_invariants_rejects_small_degree(capsys):
     code, _, err = run(capsys, "invariants", "--d", "2", "--A", "C2")
     assert code == 1
     assert "error:" in err
+
+
+def test_invariants_never_enumerate_the_group(capsys, monkeypatch):
+    # The invariants are closed forms in |A|, its smallest prime p and the
+    # number of invariant factors p divides: no element or class is listed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the group")
+
+    monkeypatch.setattr(groups.AbelianGroup, "elements", refuse)
+    monkeypatch.setattr(groups, "conjugacy_classes_product", refuse)
+    c2_18 = "x".join(["C2"] * 18)
+    cases = [
+        ("3", "C99991", 599946, 99991, "1/99991", "1/99990", 0),
+        ("3", c2_18, 1572864, 262144, "1/262144", "1/131072", 262142),
+        ("40", "C2", 2 * math.factorial(40), 2, "1/2", 1, 0),
+    ]
+    for d, label, order, a, exponent, a_abelian, b_abelian in cases:
+        code, out, err = run(capsys, "invariants", "--d", d, "--A", label)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"product group: S{d} x {label} (order {order})",
+            "count of fields below X grows like a(K) * X^exponent * "
+            "(log X)^(b-1) with:",
+            f"  a (minimal index)   = {a}",
+            f"  exponent            = {exponent}",
+            "  b (minimal orbits)  = 1",
+            f"abelian comparison point ({label} alone): "
+            f"a_A = {a_abelian}, b_A = {b_abelian}",
+        ]
+
+
+@settings(deadline=None)
+@example(d=1559, factors=[2])
+@given(
+    d=st.integers(min_value=3, max_value=3000),
+    factors=st.lists(st.integers(min_value=1, max_value=10**4), min_size=1,
+                     max_size=3),
+)
+def test_invariants_exits_0_or_1_for_every_bounded_input(d, factors):
+    # Contract: a result (exit 0) or one error line (exit 1), never a
+    # traceback, for d in 3..3000 and A a product of at most three cyclic
+    # groups of order <= 10^4 (C1 factors included).  Past d = 1558 for C2,
+    # |A| * d! has more digits than Python prints.
+    label = "x".join(f"C{n}" for n in factors)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["invariants", "--d", str(d), "--A", label])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_python_m_sdxa_runs_main(capsys):
@@ -199,6 +252,24 @@ def test_tail_bound_comparator_underflow_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: the comparator underflows to 0 at y = 1e+300\n"
+
+
+def test_tail_bound_comparator_overflow_sums_no_terms(capsys, monkeypatch):
+    # The comparator is formed before the m terms, so an overflowing
+    # comparator is reported without a million lgamma-based terms.
+    calls = []
+    lgamma = indexcalc.math.lgamma
+
+    def counting_lgamma(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(indexcalc.math, "lgamma", counting_lgamma)
+    code, out, err = run(capsys, "tail-bound", "--d", "3", "--A", "C2",
+                         "--m", "1000000", "--Y", "16", "--beta=-1")
+    assert (code, out) == (1, "")
+    assert err == "error: the comparator overflows at y = 16\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("option", ["--beta", "--epsilon"])
@@ -433,6 +504,11 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
         (["uniformity", "--d", "3", "--X", "2000", "--uniformity-spec"],
          json.dumps({"bins": [{"classes": ["3"], "q": 7, "exponent": "100000"}]})),
         (["census", "--d", "2", "--A", "C2", "--X", "100"], None),
+        (["census", "--d", "1600", "--A", "C2", "--X", "100", "--Y", "13"], None),
+        (["census", "--d", "1000000", "--A", "C2", "--X", "100", "--Y", "13"],
+         None),
+        (["invariants", "--d", "1600", "--A", "C2"], None),
+        (["invariants", "--d", "1000000", "--A", "C2"], None),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
          "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
@@ -440,7 +516,9 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          "overrides-not-utf8", "spec-not-utf8", "tail-exponent-past-float",
          "census-X-past-float", "spec-X-0", "spec-X-negative",
          "spec-X-past-float", "spec-comparator-underflow",
-         "spec-comparator-overflow", "census-d-2"],
+         "spec-comparator-overflow", "census-d-2", "census-modulus-past-digits",
+         "census-modulus-huge-d", "invariants-order-past-digits",
+         "invariants-order-huge-d"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):
