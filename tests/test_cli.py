@@ -115,8 +115,8 @@ def test_invariants_never_enumerate_the_group(capsys, monkeypatch):
 def test_invariants_exits_0_or_1_for_every_bounded_input(d, factors):
     # Contract: a result (exit 0) or one error line (exit 1), never a
     # traceback, for d in 3..3000 and A a product of at most three cyclic
-    # groups of order <= 10^4 (C1 factors included).  Past d = 1558 for C2,
-    # |A| * d! has more digits than Python prints.
+    # groups of order <= 10^4 (C1 factors included).  From d = 1559 on for
+    # C2, |A| * d! has more digits than Python prints.
     label = "x".join(f"C{n}" for n in factors)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
