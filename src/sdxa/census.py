@@ -141,17 +141,19 @@ class FieldRecord:
     local: tuple[LocalDatum, ...]
     quad_subfield_discs: tuple[int, ...] = ()
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
+        """Whether the group is S3, S4 or S5; computed on first access (ingest
+        reads it) and kept on the record, outside its fields."""
         return self.group in _SYMMETRIC_GROUPS
 
     @cached_property
     def abelian_group(self) -> AbelianGroup:
         """The parsed abelian group, computed on first access and kept on the
-        record."""
+        record; records of one load with one label share one group."""
         if self.is_symmetric:
             raise DomainError(f"record {self.label!r} is not abelian")
-        return AbelianGroup.from_label(self.group)
+        return _group_of_label(self.group)
 
     @property
     def closure_modulus(self) -> int:
@@ -273,6 +275,12 @@ class Dataset:
 
 
 @lru_cache(maxsize=None)
+def _group_of_label(label: str) -> AbelianGroup:
+    """The group a label spells; cached for the length of one :func:`load_dataset`."""
+    return AbelianGroup.from_label(label)
+
+
+@lru_cache(maxsize=None)
 def _parse_datum(chunk: str) -> LocalDatum | str:
     """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, or
     the message of its parse error.  Cached for the length of one
@@ -351,10 +359,12 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content), emptying the chunk caches
-    first, so that no load reuses or keeps alive the chunks of an earlier file."""
+    """Parse a whole record file (text content), emptying the chunk and
+    group-label caches first, so that no load reuses or keeps alive the
+    chunks or groups of an earlier file."""
     _parse_datum.cache_clear()
     _datum_problem.cache_clear()
+    _group_of_label.cache_clear()
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()
@@ -523,7 +533,7 @@ def compose_disc(
     k_local = k_record.local_by_prime
     naive = abs(f_record.disc) ** order * abs(k_record.disc) ** d
     if k_local.keys().isdisjoint(f_record.local_by_prime):
-        return ComposeResult(naive, naive, naive, (), (), f_record, k_record)
+        return tuple.__new__(ComposeResult, (naive, naive, naive, (), (), f_record, k_record))
     discrepancy = overlap = 1
     unresolved: list[int] = []
     shared: list[tuple[int, int | None]] = []
@@ -549,7 +559,7 @@ def compose_disc(
         shared.append((p, delta_p))
         discrepancy *= p ** (delta_p or 0)
         overlap *= p ** min(order * v_f, d * v_k)
-    return ComposeResult(
+    return tuple.__new__(ComposeResult, (
         naive // discrepancy,
         naive,
         naive // overlap,
@@ -557,7 +567,7 @@ def compose_disc(
         tuple(shared),
         f_record,
         k_record,
-    )
+    ))
 
 
 def linearly_disjoint(f_record: FieldRecord, k_record: FieldRecord) -> bool:
@@ -681,9 +691,9 @@ def _count(
     count = flagged = 0
     for f_record, k_record in iter_census_pairs(dataset, d, group):
         result = compose_disc(f_record, k_record, overrides)
-        if not result.exact:
+        if result.unresolved_primes:
             flagged += result.lower_bound < x
-        elif y is None:
+        elif y is None or not result.shared:
             count += result.magnitude < x
         else:
             count += truncated_magnitude(result, group.order, d, y) < x

@@ -998,35 +998,101 @@ def test_counts_match_oracle_driven_counts(bundled, oracle_pairs, y):
         assert (result.count, result.flagged_wild_pairs) == (count, flagged), x
 
 
-@pytest.mark.parametrize("y", [None, 100])
-def test_census_calls_each_layer_once_per_pair(monkeypatch, y):
+def _count_from_label(monkeypatch, calls: dict[str, int]) -> None:
+    """Count ``AbelianGroup.from_label`` in ``calls["from_label"]``, patched
+    on the class as the benchmark tracer patches it."""
+    original = AbelianGroup.from_label
+    calls.setdefault("from_label", 0)
+
+    def counted(label):
+        calls["from_label"] += 1
+        return original(label)
+
+    monkeypatch.setattr(AbelianGroup, "from_label", staticmethod(counted))
+
+
+@pytest.mark.parametrize(
+    "y,overrides",
+    [(None, None), (100, None), (None, FIXTURE_OVERRIDES)],
+    ids=["None", "100", "overrides"],
+)
+def test_census_calls_each_layer_once_per_pair(monkeypatch, y, overrides):
     # the binding sites the benchmark tracer wraps; one parse_record per
     # fixture record, one compose_disc per disjoint pair, one
     # linearly_disjoint per candidate pair, one delta per shared tame-tame
-    # prime of a disjoint pair
+    # prime of a disjoint pair, and one from_label per group label of a load
     import sdxa.census as census
 
     names = ("parse_record", "compose_disc", "linearly_disjoint", "delta")
     calls = dict.fromkeys(names, 0)
-    for name in calls:
+    for name in names:
 
         def counted(*args, _name=name, _original=getattr(census, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(census, name, counted)
+    _count_from_label(monkeypatch, calls)
     dataset = ingest(str(FIXTURE))
-    assert calls["parse_record"] == 385
+    assert (calls["parse_record"], calls["from_label"]) == (385, 1)
     if y is None:
-        count_N(dataset, 3, C2, 10**6)
+        count_N(dataset, 3, C2, 10**6, overrides)
     else:
-        count_N_truncated(dataset, 3, C2, 10**6, y)
+        count_N_truncated(dataset, 3, C2, 10**6, y, overrides)
     assert calls == {
         "parse_record": 385,
         "compose_disc": 19_704,
         "linearly_disjoint": 19_764,
         "delta": 1_441,
+        "from_label": 1,
     }
+
+
+RECORD_FIELDS = ("label", "degree", "group", "disc", "local", "quad_subfield_discs")
+
+
+def test_per_record_facts_are_kept_outside_the_fields(bundled):
+    import dataclasses
+
+    assert all("is_symmetric" in vars(r) for r in bundled.records)
+    assert tuple(f.name for f in dataclasses.fields(FieldRecord)) == RECORD_FIELDS
+    for parsed in (bundled.get("3.-104.1"), bundled.by_group("C2")[0]):
+        built = FieldRecord(*(getattr(parsed, name) for name in RECORD_FIELDS))
+        assert "is_symmetric" not in vars(built)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert repr(built) == repr(parsed)
+        assert built.serialize() == parsed.serialize()
+    cubic = bundled.get("3.-104.1")
+    relabelled = dataclasses.replace(cubic, group="C6")
+    assert "is_symmetric" not in vars(relabelled)
+    assert cubic.is_symmetric and not relabelled.is_symmetric
+
+
+MIXED_LABELS = (
+    "2.-23.1;2;C2;-23;23:t(2);-23\n"
+    "3.49.1;3;C3;49;7:t(3);\n"
+    "2.5.1;2;C2;5;5:t(2);5\n"
+)
+
+
+def test_each_group_label_is_parsed_once_per_load(monkeypatch):
+    calls: dict[str, int] = {}
+    _count_from_label(monkeypatch, calls)
+    ingest(str(FIXTURE))
+    assert calls["from_label"] == 1
+    first = load_dataset(MIXED_LABELS)
+    assert calls["from_label"] == 3
+    c2_a, c3, c2_b = (r.abelian_group for r in first.records)
+    assert c2_a is c2_b and (c2_a.order, c3.order) == (2, 3)
+    second = load_dataset(MIXED_LABELS)
+    assert calls["from_label"] == 5
+    assert {id(r.abelian_group) for r in first.records}.isdisjoint(
+        id(r.abelian_group) for r in second.records
+    )
+    with pytest.raises(RecordParseError, match="unknown group label 'Q8'") as info:
+        load_dataset(MIXED_LABELS + "2.5.2;2;Q8;5;5:t(2);5\n")
+    assert info.value.line_number == 4
+    assert calls["from_label"] == 8
 
 
 def test_record_caches_are_built_on_first_access():
@@ -1104,16 +1170,34 @@ def test_compose_without_a_shared_prime_is_exact_and_naive():
     _assert_matches_oracle(f_rec, k_rec, overrides)
 
 
+def test_fast_built_compose_result_equals_the_public_constructor(bundled):
+    pairs = iter_census_pairs(bundled, 3, C2)
+    results = [compose_disc(f_rec, k_rec) for f_rec, k_rec in pairs]
+    no_shared = next(r for r in results if not r.shared)
+    tame = next(r for r in results if r.shared and r.exact)
+    wild = next(r for r in results if not r.exact)
+    overrides = WildOverrides(
+        {key: 1 for key, _ in _wild_keys(wild.f_record, wild.k_record)}
+    )
+    resolved = compose_disc(wild.f_record, wild.k_record, overrides)
+    assert resolved.exact and resolved.magnitude < resolved.naive_magnitude
+    for result in (no_shared, tame, wild, resolved):
+        public = ComposeResult(*result)
+        assert result == public and hash(result) == hash(public)
+        assert type(result) is ComposeResult and ComposeResult._fields == COMPOSE_FIELDS
+        assert "breakdown" not in vars(result)
+
+
 def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
+    # the records of one load share their group, so the second, equal group
+    # is built by hand: delta's cache is keyed by value, not identity
     from sdxa.census import _element_of_order
 
-    k1, k2 = bundled.by_group("C2")[:2]
-    assert k1.abelian_group == k2.abelian_group
-    assert k1.abelian_group is not k2.abelian_group
+    parsed, built = bundled.by_group("C2")[0].abelian_group, AbelianGroup((2,))
+    assert parsed == built and parsed is not built
     g = CycleType((2, 1))
     delta.cache_clear()
-    for k in (k1, k2):
-        group = k.abelian_group
+    for group in (parsed, built):
         assert delta(3, group, g, _element_of_order(group, 2)) == 2
     info = delta.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
