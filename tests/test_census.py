@@ -1025,7 +1025,7 @@ def test_census_calls_each_layer_once_per_pair(monkeypatch, y, overrides):
 
     names = ("parse_record", "compose_disc", "linearly_disjoint", "delta")
     calls = dict.fromkeys(names, 0)
-    for name in names:
+    for name in calls:
 
         def counted(*args, _name=name, _original=getattr(census, name), **kwargs):
             calls[_name] += 1
@@ -1171,21 +1171,29 @@ def test_compose_without_a_shared_prime_is_exact_and_naive():
 
 
 def test_fast_built_compose_result_equals_the_public_constructor(bundled):
+    # one fixture pair of each kind: no shared prime, shared tame primes only,
+    # an unresolved wild overlap, and that overlap resolved by an override
     pairs = iter_census_pairs(bundled, 3, C2)
     results = [compose_disc(f_rec, k_rec) for f_rec, k_rec in pairs]
-    no_shared = next(r for r in results if not r.shared)
-    tame = next(r for r in results if r.shared and r.exact)
-    wild = next(r for r in results if not r.exact)
-    overrides = WildOverrides(
-        {key: 1 for key, _ in _wild_keys(wild.f_record, wild.k_record)}
+    kinds = (
+        lambda r: not r.shared,
+        lambda r: r.shared and r.exact,
+        lambda r: not r.exact,
     )
-    resolved = compose_disc(wild.f_record, wild.k_record, overrides)
-    assert resolved.exact and resolved.magnitude < resolved.naive_magnitude
-    for result in (no_shared, tame, wild, resolved):
+    cases = [(*pairs[next(i for i, r in enumerate(results) if kind(r))], None)
+             for kind in kinds]
+    wild_f, wild_k, _ = cases[-1]
+    overrides = WildOverrides({key: 1 for key, _ in _wild_keys(wild_f, wild_k)})
+    cases.append((wild_f, wild_k, overrides))
+    assert compose_disc(wild_f, wild_k, overrides).exact
+    for f_rec, k_rec, ov in cases:
+        result = compose_disc(f_rec, k_rec, ov)
         public = ComposeResult(*result)
         assert result == public and hash(result) == hash(public)
         assert type(result) is ComposeResult and ComposeResult._fields == COMPOSE_FIELDS
+        assert result.f_record is f_rec and result.k_record is k_rec
         assert "breakdown" not in vars(result)
+        _assert_matches_oracle(f_rec, k_rec, ov)
 
 
 def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
