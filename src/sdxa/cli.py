@@ -22,8 +22,9 @@ the ``#`` magnitude lines of ``compose``, are printed in both formats.
 
 Exit codes: 0 on success, 1 on any library error (bad data, domain errors),
 2 on command-line usage errors.  :func:`main` may be called any number of times
-in one process; each call builds its own parser, with only the subcommand
-parser that its argv selects.
+in one process.  A well-formed subcommand line builds one parser, that
+subcommand's own; the full tree of :func:`build_parser` is built only for help
+and for usage errors outside one subcommand.
 """
 
 from __future__ import annotations
@@ -301,104 +302,86 @@ def cmd_uniformity(args) -> int:
     return _render(args.format, rows, heading=[f"bins: {described}"])
 
 
-class _DeferredParser:
-    """A subcommand parser that is built only if the command line selects it:
-    its set-up calls are kept and replayed on a real parser when argparse asks
-    it to parse.  Building all seven took about 1 ms of every command."""
+_COMMANDS = {
+    "invariants": (cmd_invariants, "counting constants for S_d x A"),
+    "delta-table": (cmd_delta_table, "valuation/discrepancy table (prime-order A)"),
+    "verify-lemmas": (cmd_verify_lemmas, "re-verify index comparison invariants"),
+    "tail-bound": (cmd_tail_bound, "combined exponent and dyadic tail series"),
+    "census": (cmd_census, "count composed pairs below a cutoff"),
+    "compose": (cmd_compose, "per-prime composition breakdown for one pair"),
+    "uniformity": (cmd_uniformity, "dyadic-range configuration counts"),
+}
 
-    def __init__(self, **kwargs) -> None:
-        self.kwargs, self.calls = kwargs, []
 
-    def add_argument(self, *args, **kwargs) -> None:
-        self.calls.append(("add_argument", args, kwargs))
-
-    def set_defaults(self, **kwargs) -> None:
-        self.calls.append(("set_defaults", (), kwargs))
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        for method, method_args, method_kwargs in self.calls:
-            getattr(parser, method)(*method_args, **method_kwargs)
-        return parser.parse_known_args(args, namespace)
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Give ``p`` the arguments of subcommand ``name``: the one definition
+    behind both its own parser and the subparser of :func:`build_parser`."""
+    p.set_defaults(func=_COMMANDS[name][0])
+    if name != "compose":
+        p.add_argument("--d", type=int, required=True,
+                       help="degree of the symmetric-group side")
+    if name not in ("compose", "uniformity"):
+        p.add_argument("--A", required=True,
+                       help="abelian group label, e.g. C2 or C2xC4")
+    if name in ("census", "compose", "uniformity"):
+        p.add_argument("--dataset", default=bundled_fixture_path(),
+                       help="record file (default: bundled fixture)")
+    if name != "verify-lemmas":
+        p.add_argument("--format", choices=("plain", "tsv"), default="plain")
+    if name == "tail-bound":
+        p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 1000),
+                       help="slack exponent, an exact rational like 1/1000")
+        p.add_argument("--m", type=int, required=True,
+                       help="number of dyadic ranges")
+        p.add_argument("--Y", type=float, required=True, nargs="+",
+                       help="series cutoff(s)")
+        p.add_argument("--beta", type=_fraction, default=None,
+                       help="explicit combined exponent (skips the preset)")
+    elif name == "census":
+        p.add_argument("--X", type=int, required=True, help="discriminant cutoff")
+        p.add_argument("--Y", type=int, default=None,
+                       help="prime cutoff for the truncated count")
+    elif name == "compose":
+        p.add_argument("--F", required=True, help="label of the degree-d record")
+        p.add_argument("--K", required=True, help="label of the abelian record")
+    elif name == "uniformity":
+        p.add_argument("--uniformity-spec", required=True,
+                       help="JSON file describing the dyadic bins")
+        p.add_argument("--X", type=int, required=True, action="append",
+                       help="cutoff (repeatable)")
+    if name in ("census", "compose"):
+        p.add_argument("--wild-overrides", default=None,
+                       help="JSON file of wild-overlap discrepancies")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree, with every subcommand's parser built."""
     parser = argparse.ArgumentParser(
         prog="sdxa",
         description="Counting invariants, discriminant composition tables, "
                     "and census tooling for products of a full symmetric "
                     "group with an abelian group.",
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_DeferredParser)
-
-    def command(name, func, help_text, *, d=True, a=True, dataset=False,
-                fmt=True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if d:
-            p.add_argument("--d", type=int, required=True,
-                           help="degree of the symmetric-group side")
-        if a:
-            p.add_argument("--A", required=True,
-                           help="abelian group label, e.g. C2 or C2xC4")
-        if dataset:
-            p.add_argument("--dataset", default=bundled_fixture_path(),
-                           help="record file (default: bundled fixture)")
-        if fmt:
-            p.add_argument("--format", choices=("plain", "tsv"), default="plain")
-        return p
-
-    command("invariants", cmd_invariants, "counting constants for S_d x A")
-    command("delta-table", cmd_delta_table,
-            "valuation/discrepancy table (prime-order A)")
-    command("verify-lemmas", cmd_verify_lemmas,
-            "re-verify index comparison invariants", fmt=False)
-
-    p = command("tail-bound", cmd_tail_bound,
-                "combined exponent and dyadic tail series")
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 1000),
-                   help="slack exponent, an exact rational like 1/1000")
-    p.add_argument("--m", type=int, required=True,
-                   help="number of dyadic ranges")
-    p.add_argument("--Y", type=float, required=True, nargs="+",
-                   help="series cutoff(s)")
-    p.add_argument("--beta", type=_fraction, default=None,
-                   help="explicit combined exponent (skips the preset)")
-
-    p = command("census", cmd_census, "count composed pairs below a cutoff",
-                dataset=True)
-    p.add_argument("--X", type=int, required=True, help="discriminant cutoff")
-    p.add_argument("--Y", type=int, default=None,
-                   help="prime cutoff for the truncated count")
-    p.add_argument("--wild-overrides", default=None,
-                   help="JSON file of wild-overlap discrepancies")
-
-    p = command("compose", cmd_compose,
-                "per-prime composition breakdown for one pair",
-                d=False, a=False, dataset=True)
-    p.add_argument("--F", required=True, help="label of the degree-d record")
-    p.add_argument("--K", required=True, help="label of the abelian record")
-    p.add_argument("--wild-overrides", default=None,
-                   help="JSON file of wild-overlap discrepancies")
-
-    p = command("uniformity", cmd_uniformity,
-                "dyadic-range configuration counts", a=False, dataset=True)
-    p.add_argument("--uniformity-spec", required=True,
-                   help="JSON file describing the dyadic bins")
-    p.add_argument("--X", type=int, required=True, action="append",
-                   help="cutoff (repeatable)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def _attach_negative_rationals(argv: list[str]) -> list[str]:
     """Rewrite ``--beta -1/1000`` as ``--beta=-1/1000``: argparse takes a
     separate ``-1/1000`` for an option, not for the value of ``--beta`` or
-    ``--epsilon``."""
+    ``--epsilon``.  After ``tail-bound`` their abbreviations (``--bet``,
+    ``--e``) are joined too: no other option of it starts with ``--b`` or
+    ``--e``, so its parser resolves every such prefix to one of the two."""
+    names = ("--beta", "--epsilon")
+    tail_bound = argv[:1] == ["tail-bound"]
     out: list[str] = []
     for arg in argv:
         negative = arg[:1] == "-" and arg[1:2].isdigit()
-        if negative and out and out[-1] in ("--beta", "--epsilon"):
+        option = out[-1] if out else ""
+        if negative and (option in names or (tail_bound and len(option) > 2
+                         and any(n.startswith(option) for n in names))):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -406,10 +389,17 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
-        _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
-    )
+    argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"sdxa {name}")
+        _add_arguments(parser, name)
+        args, rest = parser.parse_known_args(argv[1:])
+        args.command = name
+    if name not in _COMMANDS or rest:
+        # No subcommand named first, or tokens its parser left over: the full
+        # tree prints the help or the usage error.
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SdxaError, OSError) as exc:

@@ -272,14 +272,22 @@ def test_tail_bound_comparator_overflow_sums_no_terms(capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("option", ["--beta", "--epsilon"])
-def test_tail_bound_negative_rational_as_separate_value(capsys, option):
+@pytest.mark.parametrize(
+    "option,value,name",
+    [("--beta", "-1/500", "--beta"), ("--epsilon", "-1/500", "--epsilon"),
+     ("--bet", "-1/500", "--beta"), ("--eps", "-1/10", "--epsilon")],
+    ids=["--beta", "--epsilon", "--bet", "--eps"],
+)
+def test_tail_bound_negative_rational_as_separate_value(capsys, option, value,
+                                                        name):
+    # argparse resolves an abbreviation such as --bet to --beta, so the value
+    # is joined to it as to the full name.
     base = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16",
             "--format", "tsv"]
-    if option == "--epsilon":
+    if name == "--epsilon":
         base += ["--beta", "-1/2"]
-    spaced = run(capsys, *base, option, "-1/500")
-    joined = run(capsys, *base, f"{option}=-1/500")
+    spaced = run(capsys, *base, option, value)
+    joined = run(capsys, *base, f"{name}={value}")
     assert spaced[0] == 0
     assert spaced == joined
 
@@ -681,15 +689,24 @@ def test_json_infinity_is_a_malformed_file(capsys, tmp_path, argv, file_text,
     assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
 
 
-def test_deferred_subparsers_act_like_a_full_build(capsys, tmp_path,
-                                                  monkeypatch):
+class _FullTreeOnly(dict):
+    """The subcommand table, with no name that ``main`` takes as one alone,
+    so every argv goes through ``build_parser().parse_args``."""
+
+    def __contains__(self, name):
+        return False
+
+
+def test_one_subcommand_parser_acts_like_the_full_tree(capsys, tmp_path,
+                                                       monkeypatch):
     spec = tmp_path / "bins.json"
     spec.write_text(json.dumps(README_SPEC))
     uniformity = ["uniformity", "--d", "3", "--uniformity-spec", str(spec)]
     tail = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2"]
     census = ["census", "--d", "3", "--A", "C2", "--X", "1000"]
+    invariants = ["invariants", "--d", "3", "--A", "C2"]
     sequence = [
-        ["invariants", "--d", "3", "--A", "C2"],
+        invariants,
         ["delta-table", "--d", "3", "--A", "C3", "--format", "tsv"],
         ["census", "--d", "3", "--A", "C2"],  # usage error: no --X
         ["verify-lemmas", "--d", "3", "--A", "C2"],
@@ -706,33 +723,99 @@ def test_deferred_subparsers_act_like_a_full_build(capsys, tmp_path,
         [], ["--help"], ["-h", "census"], ["bogus"], ["--", *census],
         ["-x", *census], [*census, "extra"], ["census", "-h"],
         ["tail-bound", "--help"],
+        # edge cases of abbreviation, syntax and placement
+        ["census", "--he"], ["--form", "tsv"], [*invariants, "--form", "tsv"],
+        ["census", "--d=3", "--A=C2", "--X=1000"], ["census", "--", "--d", "3"],
+        ["invariants", "--d", "3", "--d", "4", "--A", "C2"],
+        [*invariants, "-h"], ["invariants", "--d", "three", "--A", "C2"],
+        [*invariants, "--format", "xml"],
+        ["verify-lemmas", "--d", "3", "--A", "C2", "--format", "tsv"],
+        ["invariants"], [*invariants, "--bogus"],
+        ["invariants", "stray", "--d", "3", "--A", "C2"],
+        ["Census", "--d", "3", "--A", "C2", "--X", "1000"],
+        ["cens", "--d", "3", "--A", "C2", "--X", "1000"], ["--version"],
+        [*tail, "--Y", "16", "--bet", "-1/500"],
+        [*tail, "--Y", "16", "--beta", "-1/2", "--eps", "-1/10"],
+        [*tail, "--Y"], [*census, "--Y"], ["compose", "-h"],
+        ["delta-table", "--d", "3", "--A", "C3", "--format=tsv"],
+        ["-h", "bogus"],
     ]
+    namespaces = []
 
-    def outcome(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+    def recorded(func):
+        return lambda args: namespaces.append(vars(args)) or func(args)
 
-    deferred = [outcome(argv) for argv in sequence]
-    monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
-    assert deferred == [outcome(argv) for argv in sequence]
-    assert [code for code, _, _ in deferred] == [
-        0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 2, 2, 2, 0, 0]
-    assert deferred[4][1].count("\n") == 4 and deferred[5][1].count("\n") == 3
-    assert "beta = -1/1000 (explicit), epsilon = 1/10000" in deferred[7][1]
-    assert deferred[6][1].count("\n") == 5 and deferred[8][1].count("\n") == 4
-    assert "(preset), epsilon = 1/1000" in deferred[8][1]
-    assert "compose" in deferred[14][1] and "--wild-overrides" in deferred[20][1]
+    def outcomes(commands):
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        namespaces.clear()
+        found = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            found.append((code, captured.out, captured.err))
+        return found, namespaces[:]
+
+    table = {name: (recorded(func), text)
+             for name, (func, text) in cli._COMMANDS.items()}
+    one, one_namespaces = outcomes(table)
+    assert (one, one_namespaces) == outcomes(_FullTreeOnly(table))
+    codes = [code for code, _, _ in one]
+    assert codes == [
+        0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 2, 2, 2, 0, 0,
+        0, 2, 0, 0, 2, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 0, 0, 0]
+    help_lines = 8
+    assert len(one_namespaces) == codes.count(0) + codes.count(1) - help_lines
+    assert one_namespaces[0]["command"] == "invariants"
+    assert one[4][1].count("\n") == 4 and one[5][1].count("\n") == 3
+    assert "beta = -1/1000 (explicit), epsilon = 1/10000" in one[7][1]
+    assert one[6][1].count("\n") == 5 and one[8][1].count("\n") == 4
+    assert "(preset), epsilon = 1/1000" in one[8][1]
+    assert "compose" in one[14][1] and "--wild-overrides" in one[20][1]
+    assert "beta = -1/500 (explicit)" in one[38][1]
+    assert "epsilon = -1/10" in one[39][1]
 
 
-def test_a_command_builds_only_the_subparser_it_selects(capsys, monkeypatch):
+def test_a_command_builds_only_the_subparser_it_selects(capsys, monkeypatch,
+                                                        tmp_path):
+    spec = tmp_path / "bins.json"
+    spec.write_text(json.dumps(README_SPEC))
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, **kwargs: built.append(kwargs.get("prog"))
                         or init(self, **kwargs))
-    assert cli.main(["invariants", "--d", "3", "--A", "C2"]) == 0
-    assert built == ["sdxa", "sdxa invariants"]
+    lines = {
+        "invariants": ["--d", "3", "--A", "C2"],
+        "delta-table": ["--d", "3", "--A", "C3"],
+        "verify-lemmas": ["--d", "3", "--A", "C2"],
+        "tail-bound": ["--d", "3", "--A", "C2", "--m", "2", "--Y", "16"],
+        "census": ["--d", "3", "--A", "C2", "--X", "1000"],
+        "compose": ["--F", "3.-23.1", "--K", "2.-4.1"],
+        "uniformity": ["--d", "3", "--uniformity-spec", str(spec), "--X", "500"],
+    }
+    fixture_calls = []
+    monkeypatch.setattr(cli, "bundled_fixture_path",
+                        lambda: fixture_calls.append(1) or FIXTURE)
+    for name, argv in lines.items():
+        built.clear()
+        fixture_calls.clear()
+        assert run(capsys, name, *argv)[0] == 0
+        assert built == [f"sdxa {name}"]
+        assert len(fixture_calls) == (name in ("census", "compose", "uniformity"))
+    full_tree = ["sdxa", *(f"sdxa {name}" for name in lines)]
+    for argv in (["-h"], ["bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        capsys.readouterr()
+        assert built == full_tree
+
+    def no_fixture():
+        raise AssertionError("the bundled fixture path was looked up")
+
+    monkeypatch.setattr(cli, "bundled_fixture_path", no_fixture)
+    for name in ("invariants", "delta-table", "verify-lemmas", "tail-bound"):
+        assert run(capsys, name, *lines[name])[0] == 0
