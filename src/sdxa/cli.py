@@ -369,19 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_rationals(argv: list[str]) -> list[str]:
-    """Rewrite ``--beta -1/1000`` as ``--beta=-1/1000``: argparse takes a
-    separate ``-1/1000`` for an option, not for the value of ``--beta`` or
-    ``--epsilon``.  After ``tail-bound`` their abbreviations (``--bet``,
-    ``--e``) are joined too: no other option of it starts with ``--b`` or
-    ``--e``, so its parser resolves every such prefix to one of the two."""
-    names = ("--beta", "--epsilon")
-    tail_bound = argv[:1] == ["tail-bound"]
+    """Rewrite ``tail-bound ... --beta -1/1000`` as ``--beta=-1/1000``:
+    argparse takes a separate ``-1/1000`` for an option, not for the value of
+    ``--beta`` or ``--epsilon``.  Abbreviations such as ``--bet`` and ``--e``
+    are joined too, as no other tail-bound option starts with ``--b`` or
+    ``--e``; argv of the other subcommands, which lack both, is left as is."""
+    if argv[:1] != ["tail-bound"]:
+        return argv
     out: list[str] = []
     for arg in argv:
         negative = arg[:1] == "-" and arg[1:2].isdigit()
         option = out[-1] if out else ""
-        if negative and (option in names or (tail_bound and len(option) > 2
-                         and any(n.startswith(option) for n in names))):
+        if negative and len(option) > 2 and any(
+                n.startswith(option) for n in ("--beta", "--epsilon")):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -1,5 +1,5 @@
-"""Tame splitting patterns, Frobenius lifts acting on inertia-orbit labels,
-and discriminant-valuation tables.
+"""Tame splitting patterns read off cycle data, and discriminant-valuation
+tables.
 
 A splitting pattern is the multiset of (ramification index, inertial degree)
 pairs describing how a prime factors in a field.  At a tame prime it is fixed
@@ -10,9 +10,10 @@ degree-d side regenerates the package's golden valuation tables.
 
 Over all primes, the lifts that commute with inertia already give every
 pattern, and each is cycle data: a permutation of the equal-length cycles of
-g, a rotation of each, and a translation of A.  Such a lift permutes labels
-of the inertia orbits, and the pattern is read off that permutation, without
-a permutation of the d * |A| points (see :func:`decomposition_patterns`).
+g, a rotation of each, and a translation of A.  Its pattern is a closed
+form in the permutation's cycle type, the rotation sum along each of its
+cycles and the translation's order modulo <h>, so no lift is built and no
+inertia orbit is walked (see :func:`decomposition_patterns`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import gcd, lcm
 
 from .errors import DegreeMismatchError, DomainError, PatternError
@@ -37,10 +38,10 @@ from .perms import CycleType, ind, pair_index, partitions
 _TOKEN_RE = re.compile(r"^(\d+)\^(?:(\d+)|\{(\d+)\})$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SplittingPattern:
-    """A multiset of (e, f) factor pairs; canonical order is descending
-    lexicographic on (e, f)."""
+    """A multiset of (e, f) factor pairs, held in descending lexicographic
+    order of (e, f); patterns sort by that tuple of factors."""
 
     factors: tuple[tuple[int, int], ...]
 
@@ -200,17 +201,29 @@ def decomposition_patterns(
        with sigma g^j still in C(g).  So one tau per coset of <h> is enough.
 
     No point is needed after that, only labels of iota-orbits.  Take a
-    g-cycle C of length c and a coset K = a_K + <h> of size o = ord(h).  The
-    iota-orbits on C x K are labelled by lambda = (i - j) mod gcd(c, o), where
-    (g^i x_C, a_K + jh) is a point of the orbit: iota adds 1 to both i and j,
-    and by the Chinese remainder theorem the points with one label form one
-    orbit, of length lcm(c, o).  Write sigma in C(g) = prod_c C_c wr S_{m_c}
-    as sigma(g^i x_C) = g^(i + r_C) x_pi(C), and a_K + tau = a_K' + s_K h.
+    g-cycle C of length c, a coset K = a_K + <h> of size o = ord(h), and
+    k = gcd(c, o).  The iota-orbits on C x K are labelled by
+    lambda = (i - j) mod k, where (g^i x_C, a_K + jh) is a point of the
+    orbit: iota adds 1 to both i and j, and by the Chinese remainder theorem
+    the points with one label form one orbit, of length lcm(c, o).  Write
+    sigma in C(g) = prod_c C_c wr S_{m_c} as
+    sigma(g^i x_C) = g^(i + r_C) x_pi(C), and a_K + tau = a_K' + s_K h.
     Then phi sends the label (C, K, lambda) to
-    (pi(C), K', lambda + r_C - s_K mod gcd(c, o)), and each cycle of that
-    action on labels is one factor (lcm(c, o), cycle length).  Only r_C mod
-    gcd(c, o) matters, so each tau needs prod_c m_c! gcd(c, o)^m_c lifts,
-    all commuting with iota by construction.
+    (pi(C), K', lambda + r_C - s_K mod k), and each cycle of that action on
+    labels is one factor (lcm(c, o), cycle length).
+
+    Those lengths have a closed form.  tau moves the |A|/o cosets by its
+    image in A/<h>, so every tau-cycle has as length the order t of that
+    image, and its s_K add up to S, where t tau = S h.  On the labels of one
+    tau-cycle and one cycle of pi of length l, whose r_C add up to R, phi
+    acts as (i, j, lambda) -> (i + 1, j + 1, lambda + r_i - s_j).  It first
+    returns to (i, j) after L = lcm(l, t) steps, having added
+    D = (L/l) R - (L/t) S mod k.  So each such label lies on a cycle of
+    length f = L k / gcd(k, D), and the pi-cycle gives l k (|A|/o) / f
+    factors (lcm(c, o), f).  As C(g) holds every pi and every rotation, the
+    patterns are all choices, for each c, of a partition of m_c and one R
+    in Z/k per part, taken over the pairs (t, S) that A realises.  By point
+    2 only S mod gcd(t, o) matters: tau + jh has the same t and S + tj.
 
     >>> c2 = AbelianGroup.from_label("C2")
     >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)
@@ -218,48 +231,30 @@ def decomposition_patterns(
     ['(1^2 1^2 1^2)', '(2^2 1^2)']
     """
     _check_pair(g, h, d, group)
-    o, parts = element_order(h), g.parts
-    coset: dict[tuple[int, ...], tuple[int, int]] = {}  # a_K + jh -> (K, j)
-    bases: list[AbelianElement] = []
-    for a in group.elements():
-        if a.residues not in coset:
-            for j in range(o):
-                coset[a.add(h.scale(j)).residues] = (len(bases), j)
-            bases.append(a)
-    blocks = []  # per cycle length c: every C -> (pi(C), r_C) on the c-cycles
-    for c in set(parts):
-        cycles = [C for C, part in enumerate(parts) if part == c]
-        blocks.append(
-            [
-                tuple(zip(cycles, zip(image, rotation)))
-                for image in permutations(cycles)
-                for rotation in product(range(gcd(c, o)), repeat=len(cycles))
-            ]
+    o = element_order(h)
+    powers = {h.scale(j).residues: j for j in range(o)}  # jh -> j
+    shapes = set()  # (t, S mod gcd(t, o)): t = order of tau in A/<h>, t tau = S h
+    for tau in group.elements():
+        t = next(
+            t for t in range(1, group.order + 1) if tau.scale(t).residues in powers
         )
-    labels = [
-        (C, K, lam)
-        for C, c in enumerate(parts)
-        for K in range(len(bases))
-        for lam in range(gcd(c, o))
-    ]
+        shapes.add((t, powers[tau.scale(t).residues] % gcd(t, o)))
     patterns: set[SplittingPattern] = set()
-    for tau in bases:
-        moves = [coset[base.add(tau).residues] for base in bases]  # K -> (K', s_K)
+    for t, S in shapes:
+        blocks = []  # per cycle length c: the factors of each of its choices
+        for c in set(g.parts):
+            k, e, choices = gcd(c, o), lcm(c, o), set()
+            for mu in partitions(g.parts.count(c)):
+                for sums in product(range(k), repeat=len(mu.parts)):
+                    factors: list[tuple[int, int]] = []
+                    for ell, R in zip(mu.parts, sums):
+                        L = lcm(ell, t)
+                        f = L * k // gcd(k, L // ell * R - L // t * S)
+                        factors += [(e, f)] * (ell * k * group.order // (o * f))
+                    choices.add(tuple(factors))
+            blocks.append(choices)
         for choice in product(*blocks):
-            sigma = dict(pair for block in choice for pair in block)
-            seen: set[tuple[int, int, int]] = set()
-            factors: list[tuple[int, int]] = []
-            for label in labels:
-                e, f = lcm(parts[label[0]], o), 0
-                while label not in seen:
-                    seen.add(label)
-                    f += 1
-                    C, K, lam = label
-                    (image, r), (image_k, s) = sigma[C], moves[K]
-                    label = (image, image_k, (lam + r - s) % gcd(parts[C], o))
-                if f:
-                    factors.append((e, f))
-            patterns.add(SplittingPattern(tuple(factors)))
+            patterns.add(SplittingPattern(sum(choice, ())))
     return frozenset(patterns)
 
 
@@ -347,14 +342,8 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
         (ct for ct in partitions(d) if not ct.is_identity()),
         key=lambda ct: (ind(ct), ct.parts),
     ):
-        f_patterns = sorted(
-            decomposition_patterns(g, trivial.identity(), d, trivial),
-            key=lambda p: p.factors,
-        )
-        fk_patterns = sorted(
-            decomposition_patterns(g, generator, d, group),
-            key=lambda p: p.factors,
-        )
+        f_patterns = sorted(decomposition_patterns(g, trivial.identity(), d, trivial))
+        fk_patterns = sorted(decomposition_patterns(g, generator, d, group))
         rows.append(
             TableRow(
                 generator=g,

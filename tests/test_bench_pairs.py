@@ -1,5 +1,6 @@
 """Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
-BENCH file: per side the median and quartiles, and the pairs the change won."""
+BENCH file (per side the median and quartiles, and the pairs the change won)
+and of the bytecode clearing it does before every run."""
 
 from __future__ import annotations
 
@@ -46,3 +47,19 @@ def test_single_pair_gives_degenerate_quartiles():
     assert (entry["better"], entry["bound"], entry["change_wins"]) == (
         "lower", 0.25, 1
     )
+
+
+def test_clear_bytecode_removes_caches_under_src_and_perfbench(tmp_path):
+    caches = [tmp_path / "src" / "sdxa" / "__pycache__",
+              tmp_path / "src" / "sdxa" / "data" / "__pycache__",
+              tmp_path / "perfbench" / "__pycache__"]
+    kept = [tmp_path / "tests" / "__pycache__", tmp_path / "__pycache__"]
+    for directory in caches + kept:
+        (directory / "inner" / "__pycache__").mkdir(parents=True)
+        (directory / "m.cpython-312.pyc").write_bytes(b"")
+    (tmp_path / "src" / "sdxa" / "splitting.py").write_text("")
+    bench_pairs.clear_bytecode(str(tmp_path))
+    assert not any(directory.exists() for directory in caches)
+    assert all(directory.exists() for directory in kept)
+    assert (tmp_path / "src" / "sdxa" / "splitting.py").exists()
+    bench_pairs.clear_bytecode(str(tmp_path / "no-such-tree"))

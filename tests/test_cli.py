@@ -292,6 +292,18 @@ def test_tail_bound_negative_rational_as_separate_value(capsys, option, value,
     assert spaced == joined
 
 
+def test_negative_value_after_another_subcommand_is_not_joined(capsys):
+    # Only tail-bound has --beta and --epsilon, so the usage error of another
+    # subcommand names the tokens as typed.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--d", "3", "--A", "C2", "--X", "1000",
+                  "--beta", "-1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --beta -1" in err
+    assert "--beta=-1" not in err
+
+
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ mask (or fake) agreement.  Advisory cells are asserted to be defective rather
 than contained.
 """
 
-from itertools import product
-from math import gcd
+from collections import Counter
+from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
 from sdxa.errors import DegreeMismatchError, DomainError, PatternError
 from sdxa.groups import (
     AbelianGroup,
+    element_order,
     factorize,
     regular_cycle_type,
     regular_permutation,
@@ -195,6 +197,58 @@ def brute_force_patterns(g, h, d, group):
     return frozenset(patterns)
 
 
+def _label_walk_patterns(g, h, d, group):
+    """The second oracle: walk every lift (sigma, tau) with sigma in C(g) and
+    one tau per coset of <h>, as cycle data (pi, r_C mod gcd(c, o)) and
+    (K -> K', s_K), and read each pattern off the cycles of the lift's
+    action (C, K, lambda) -> (pi(C), K', lambda + r_C - s_K) on the labels
+    of inertia orbits.  Builds no permutation, but walks
+    prod_c m_c! gcd(c, o)^m_c lifts per tau."""
+    o, parts = element_order(h), g.parts
+    coset = {}  # a_K + jh -> (K, j)
+    bases = []
+    for a in group.elements():
+        if a.residues not in coset:
+            for j in range(o):
+                coset[a.add(h.scale(j)).residues] = (len(bases), j)
+            bases.append(a)
+    blocks = []  # per cycle length c: every C -> (pi(C), r_C) on the c-cycles
+    for c in set(parts):
+        cycles = [C for C, part in enumerate(parts) if part == c]
+        blocks.append(
+            [
+                tuple(zip(cycles, zip(image, rotation)))
+                for image in permutations(cycles)
+                for rotation in product(range(gcd(c, o)), repeat=len(cycles))
+            ]
+        )
+    labels = [
+        (C, K, lam)
+        for C, c in enumerate(parts)
+        for K in range(len(bases))
+        for lam in range(gcd(c, o))
+    ]
+    patterns = set()
+    for tau in bases:
+        moves = [coset[base.add(tau).residues] for base in bases]  # K -> (K', s_K)
+        for choice in product(*blocks):
+            sigma = dict(pair for block in choice for pair in block)
+            seen = set()
+            factors = []
+            for label in labels:
+                e, f = lcm(parts[label[0]], o), 0
+                while label not in seen:
+                    seen.add(label)
+                    f += 1
+                    C, K, lam = label
+                    (image, r), (image_k, s) = sigma[C], moves[K]
+                    label = (image, image_k, (lam + r - s) % gcd(parts[C], o))
+                if f:
+                    factors.append((e, f))
+            patterns.add(SplittingPattern(tuple(factors)))
+    return frozenset(patterns)
+
+
 ORACLE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C2xC2", "C2xC4", "C3xC3")
 
 
@@ -220,6 +274,37 @@ def test_normaliser_enumeration_matches_brute_force(d, label):
         assert decomposition_patterns(g, h, d, group) == brute_force_patterns(
             g, h, d, group
         ), (g, h)
+
+
+ORDER_AT_MOST_12 = ORACLE_GROUPS + (
+    "C8", "C9", "C10", "C11", "C12", "C2xC6", "C2xC2xC2",
+)
+
+
+def test_closed_form_matches_the_label_walk():
+    """Every (g, h) for d = 3..5 over every abelian group of order <= 12,
+    and every (g, h) at d = 6 and d = 7 over C1, C2 and C3 except
+    g = (1^7), for which the walk takes 7! lifts per tau."""
+    cases = [
+        (d, g, h, group)
+        for d in (3, 4, 5)
+        for group in map(AbelianGroup.from_label, ORDER_AT_MOST_12)
+        for g in partitions(d)
+        for h in group.elements()
+    ]
+    assert len(cases) == 1785
+    cases += [
+        (d, g, h, group)
+        for d in (6, 7)
+        for group in map(AbelianGroup.from_label, ("C1", "C2", "C3"))
+        for g in partitions(d)
+        if d == 6 or not g.is_identity()
+        for h in group.elements()
+    ]
+    for d, g, h, group in cases:
+        assert decomposition_patterns(g, h, d, group) == _label_walk_patterns(
+            g, h, d, group
+        ), (d, g, h, group)
 
 
 @pytest.mark.parametrize("parts", [(2, 2, 1), (4, 1)])
@@ -254,24 +339,39 @@ def test_table_path_builds_no_permutation(monkeypatch):
 
 
 def test_degree_seven_needs_no_cap():
+    """Degrees past the tables (7, 8 and 12) need no cap on d: over the
+    trivial group the patterns are the cycle types of C(g), and over C2 and
+    C3 every pattern carries the inertia orbits as its indices."""
     trivial = AbelianGroup(())
-    for g in partitions(7):
-        per_length = [
-            [[(c, part) for part in mu.parts] for mu in partitions(g.parts.count(c))]
-            for c in set(g.parts)
-        ]
-        closed_form = {
-            SplittingPattern(tuple(f for factors in choice for f in factors))
-            for choice in product(*per_length)
-        }
-        assert decomposition_patterns(g, trivial.identity(), 7, trivial) == closed_form
+    for d in (7, 8, 12):
+        for g in partitions(d):
+            per_length = [
+                [[(c, part) for part in mu.parts] for mu in partitions(m)]
+                for c, m in Counter(g.parts).items()
+            ]
+            closed_form = {
+                SplittingPattern(tuple(f for factors in choice for f in factors))
+                for choice in product(*per_length)
+            }
+            patterns = decomposition_patterns(g, trivial.identity(), d, trivial)
+            assert patterns == closed_form
     for label in ("C2", "C3"):
         group = AbelianGroup.from_label(label)
-        for g in partitions(7):
-            for h in group.elements():
-                expected = inertia_orbits(g, h, 7, group)
-                for pattern in decomposition_patterns(g, h, 7, group):
-                    assert pattern.ramification_indices == expected
+        for d in (7, 8):
+            for g in partitions(d):
+                for h in group.elements():
+                    expected = inertia_orbits(g, h, d, group)
+                    for pattern in decomposition_patterns(g, h, d, group):
+                        assert pattern.ramification_indices == expected
+
+
+def test_eight_fixed_points_over_c2_give_27_patterns():
+    """The walk over every lift needs 8! * 2 of them here (about 1.5 s);
+    the closed form reads the same 27 patterns off the 22 partitions of 8
+    and the two translations of C2."""
+    c2 = AbelianGroup.from_label("C2")
+    patterns = decomposition_patterns(CycleType((1,) * 8), c2.identity(), 8, c2)
+    assert len(patterns) == 27
 
 
 class TestDecompositionPatterns:

@@ -18,7 +18,9 @@ the output also gives each side's median and quartiles of every end-to-end
 metric named in the change tree's ``BENCHMARK.json``, and the number of pairs
 the change won.  After the pairs, each tree runs every workload once more with
 ``--trace 1`` at the first seed; the output keeps each side's per-layer
-metrics and trace self-check from those runs.
+metrics and trace self-check from those runs.  Before every run the
+``__pycache__`` directories under the tree's ``src`` and ``perfbench`` are
+removed, so neither side imports bytecode the other compiles afresh.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,9 +36,20 @@ import sys
 SIDES = ("parent", "change")
 
 
+def clear_bytecode(tree: str) -> None:
+    """Remove every ``__pycache__`` directory under ``tree``'s ``src`` and
+    ``perfbench``."""
+    for top in ("src", "perfbench"):
+        for root, dirs, _ in os.walk(os.path.join(tree, top)):
+            if "__pycache__" in dirs:
+                dirs.remove("__pycache__")
+                shutil.rmtree(os.path.join(root, "__pycache__"))
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One benchmark run in ``tree``; the fields of its run record we keep."""
+    clear_bytecode(tree)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
