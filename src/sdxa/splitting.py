@@ -235,10 +235,10 @@ def decomposition_patterns(
     powers = {h.scale(j).residues: j for j in range(o)}  # jh -> j
     shapes = set()  # (t, S mod gcd(t, o)): t = order of tau in A/<h>, t tau = S h
     for tau in group.elements():
-        t = next(
-            t for t in range(1, group.order + 1) if tau.scale(t).residues in powers
-        )
-        shapes.add((t, powers[tau.scale(t).residues] % gcd(t, o)))
+        t, multiple = 1, tau
+        while multiple.residues not in powers:
+            t, multiple = t + 1, multiple.add(tau)
+        shapes.add((t, powers[multiple.residues] % gcd(t, o)))
     patterns: set[SplittingPattern] = set()
     for t, S in shapes:
         blocks = []  # per cycle length c: the factors of each of its choices
