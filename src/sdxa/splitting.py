@@ -213,17 +213,17 @@ def decomposition_patterns(
     labels is one factor (lcm(c, o), cycle length).
 
     Those lengths have a closed form.  tau moves the |A|/o cosets by its
-    image in A/<h>, so every tau-cycle has as length the order t of that
-    image, and its s_K add up to S, where t tau = S h.  On the labels of one
-    tau-cycle and one cycle of pi of length l, whose r_C add up to R, phi
-    acts as (i, j, lambda) -> (i + 1, j + 1, lambda + r_i - s_j).  It first
-    returns to (i, j) after L = lcm(l, t) steps, having added
+    image in A/<h>, so its cycles on them all have length t, the order of
+    that image, and around each the s_K add up to S, where t tau = S h.  On
+    the labels of one such cycle and a cycle of pi of length l whose r_C add
+    up to R, phi acts as (i, j, lambda) -> (i + 1, j + 1, lambda + r_i - s_j)
+    and first returns to (i, j) after L = lcm(l, t) steps, having added
     D = (L/l) R - (L/t) S mod k.  So each such label lies on a cycle of
     length f = L k / gcd(k, D), and the pi-cycle gives l k (|A|/o) / f
-    factors (lcm(c, o), f).  As C(g) holds every pi and every rotation, the
-    patterns are all choices, for each c, of a partition of m_c and one R
-    in Z/k per part, taken over the pairs (t, S) that A realises.  By point
-    2 only S mod gcd(t, o) matters: tau + jh has the same t and S + tj.
+    factors (lcm(c, o), f).  C(g) holds every pi and every rotation, so the
+    patterns are all choices, for each c, of a partition of m_c and one R in
+    Z/k per part, over the pairs (t, S) that A realises.  By point 2 only
+    S mod gcd(t, o) matters: tau + jh has the same t and S + tj.
 
     >>> c2 = AbelianGroup.from_label("C2")
     >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)

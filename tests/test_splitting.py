@@ -366,9 +366,9 @@ def test_degree_seven_needs_no_cap():
 
 
 def test_eight_fixed_points_over_c2_give_27_patterns():
-    """The walk over every lift needs 8! * 2 of them here (about 1.5 s);
-    the closed form reads the same 27 patterns off the 22 partitions of 8
-    and the two translations of C2."""
+    """The walk over every lift needs 8! * 2 of them here; the closed form
+    reads the same 27 patterns off the 22 partitions of 8 and the two
+    translations of C2."""
     c2 = AbelianGroup.from_label("C2")
     patterns = decomposition_patterns(CycleType((1,) * 8), c2.identity(), 8, c2)
     assert len(patterns) == 27
