@@ -20,7 +20,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
     RecordParseError,
     RecordValidationError,
 )
-from .groups import AbelianElement, AbelianGroup, element_order, factorize
+from .groups import AbelianElement, AbelianGroup, factorize
 from .indexcalc import delta
 from .perms import CycleType, ind
 
@@ -36,6 +36,22 @@ _SYMMETRIC_GROUPS = {"S3": 3, "S4": 4, "S5": 5}
 _TAME_RE = re.compile(r"^t\(([\d.]+)\)$")
 _WILD_RE = re.compile(r"^w\((\d+)\)$")
 _COVERAGE_RE = re.compile(r"^#coverage\s+group=(\S+)\s+maxdisc=(\d+)\s*$")
+
+
+def _square_class(n: int, primes: Iterable[int]) -> int:
+    """The fundamental discriminant in the square class of ``n``, whose prime
+    factors all lie in ``primes``: see :func:`fundamental_discriminant`."""
+    if n == 0:
+        raise DomainError("discriminant must be nonzero")
+    core, rest = (1 if n > 0 else -1), abs(n)
+    for p in primes:
+        e = 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        core *= p ** (e % 2)
+    if rest != 1:
+        raise DomainError(f"{n} has a prime factor outside {tuple(primes)}")
+    return core if core % 4 == 1 else 4 * core
 
 
 def fundamental_discriminant(disc: int) -> int:
@@ -49,15 +65,7 @@ def fundamental_discriminant(disc: int) -> int:
     >>> fundamental_discriminant(8)
     8
     """
-    if disc == 0:
-        raise DomainError("discriminant must be nonzero")
-    sign = 1 if disc > 0 else -1
-    core = 1
-    for p, e in factorize(abs(disc)).items():
-        if e % 2:
-            core *= p
-    core *= sign
-    return core if core % 4 == 1 else 4 * core
+    return _square_class(disc, factorize(abs(disc)) if disc else ())
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,8 @@ class FieldRecord:
 
     @cached_property
     def fundamental_disc(self) -> int:
-        """The square class of ``disc``, computed on first access."""
-        return fundamental_discriminant(self.disc)
+        """The square class of ``disc`` from the record's own primes, on first access."""
+        return _square_class(self.disc, self.ramified_primes)
 
     def local_at(self, prime: int) -> LocalDatum | None:
         return self.local_by_prime.get(prime)
@@ -497,12 +505,13 @@ class ComposeResult(_ComposeFields):
         return tuple(entries)
 
 
-@lru_cache(maxsize=None)
 def _element_of_order(group: AbelianGroup, order: int) -> AbelianElement:
-    for candidate in group.elements():
-        if element_order(candidate) == order:
-            return candidate
-    raise DomainError(f"group {group.label()} has no element of order {order}")
+    """The element of order ``order`` with residue exp(A)/order in the last
+    invariant factor and d_i, which reduces to 0, in each earlier factor d_i."""
+    if group.exponent % order:
+        raise DomainError(f"group {group.label()} has no element of order {order}")
+    factors = group.invariant_factors
+    return group.element(factors[:-1] + (group.exponent // order,) if factors else ())
 
 
 def compose_disc(

@@ -1,13 +1,14 @@
 """Abelian groups, product conjugacy classes, and counting invariants.
 
 An abelian group is presented by its invariant factors (a divisibility chain),
-parsed from labels like ``"C2"`` or ``"C2xC4"``.  Elements are residue
-vectors; the regular action on the group's own elements supplies the
-permutation-theoretic view (cycle types, indices).  On top of this sit the
-conjugacy classes of the direct product of a symmetric group with the abelian
-group, the cyclotomic power action on those classes, and the two invariant
-packages that drive asymptotic field counts: the minimal-index data for the
-product group and the growth constants for the abelian group alone.
+parsed from labels like ``"C2"`` or ``"C2xC4"`` and brought into chain form by
+gcd/lcm steps, with no factoring.  Elements are residue vectors; the regular
+action on the group's own elements supplies the permutation-theoretic view
+(cycle types, indices).  On top of this sit the conjugacy classes of the
+direct product of a symmetric group with the abelian group, the cyclotomic
+power action on those classes, and the two invariant packages that drive
+asymptotic field counts: the minimal-index data for the product group and the
+growth constants for the abelian group alone.
 """
 
 from __future__ import annotations
@@ -47,28 +48,17 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _normalize_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
-    """Rewrite an arbitrary cyclic-factor list as an invariant-factor chain.
-
-    Collect each prime's exponents across all factors, then stack the largest
-    prime powers into the last factor, the second largest into the one before,
-    and so on; the result is the unique chain d_1 | d_2 | ... | d_r.
-    """
-    exponents: dict[int, list[int]] = {}
-    for f in factors:
+    """Rewrite an arbitrary cyclic-factor list as an invariant-factor chain:
+    C_a x C_b = C_gcd x C_lcm, so replacing each pair (a_i, a_j), i < j, by
+    (gcd, lcm) leaves a_i dividing every later entry, and dropping the 1s
+    gives the unique chain d_1 | ... | d_r (the Smith normal form of diag)."""
+    chain = list(factors)
+    for f in chain:
         if f < 1:
             raise DomainError(f"cyclic factor must be >= 1: {f}")
-        for p, e in factorize(f).items():
-            exponents.setdefault(p, []).append(e)
-    depth = max((len(v) for v in exponents.values()), default=0)
-    chain: list[int] = []
-    for i in range(depth):
-        factor = 1
-        for p, exps in exponents.items():
-            padded = sorted(exps, reverse=True) + [0] * depth
-            factor *= p ** padded[i]
-        chain.append(factor)
-    chain = [c for c in chain if c > 1]
-    return tuple(reversed(chain))
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
+    return tuple(c for c in chain if c > 1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,8 @@ class AbelianGroup:
 
     ``invariant_factors`` is a chain d_1 | d_2 | ... | d_r with every d_i >= 2;
     the empty chain is the trivial group.  Construction normalizes any list of
-    cyclic factors, so ``AbelianGroup((2, 3))`` equals ``AbelianGroup((6,))``.
+    cyclic factors by gcd/lcm steps, so ``AbelianGroup((2, 3))`` equals
+    ``AbelianGroup((6,))``.
     """
 
     invariant_factors: tuple[int, ...]

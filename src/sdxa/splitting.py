@@ -231,14 +231,14 @@ def decomposition_patterns(
     ['(1^2 1^2 1^2)', '(2^2 1^2)']
     """
     _check_pair(g, h, d, group)
-    o = element_order(h)
-    powers = {h.scale(j).residues: j for j in range(o)}  # jh -> j
+    o, moduli = element_order(h), group.invariant_factors
+    powers = {tuple(j * a % n for a, n in zip(h.residues, moduli)): j for j in range(o)}
     shapes = set()  # (t, S mod gcd(t, o)): t = order of tau in A/<h>, t tau = S h
-    for tau in group.elements():
-        t, multiple = 1, tau
-        while multiple.residues not in powers:
-            t, multiple = t + 1, multiple.add(tau)
-        shapes.add((t, powers[multiple.residues] % gcd(t, o)))
+    for tau in product(*(range(n) for n in moduli)):
+        t = 1
+        while (t_tau := tuple(t * a % n for a, n in zip(tau, moduli))) not in powers:
+            t += 1
+        shapes.add((t, powers[t_tau] % gcd(t, o)))
     patterns: set[SplittingPattern] = set()
     for t, S in shapes:
         blocks = []  # per cycle length c: the factors of each of its choices

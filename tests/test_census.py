@@ -83,6 +83,7 @@ def test_factorize_basics():
         (12, 12),  # 4 * 3 with 3 = 3 mod 4
         (8, 8),  # 4 * 2 with 2 = 2 mod 4
         (-4, -4),
+        (-8, -8),  # kernel -2 = 2 mod 4
         (148, 37),  # 4 * 37 but 37 = 1 mod 4: the square class is 37
         (45, 5),  # 9 * 5
         (-104, -104),  # -8 * 13: kernel -26 = 2 mod 4, so 4 * (-26)
@@ -92,11 +93,26 @@ def test_factorize_basics():
 )
 def test_fundamental_discriminant(disc, expected):
     assert fundamental_discriminant(disc) == expected
+    local = tuple(
+        LocalDatum(p, wild_valuation=e) for p, e in factorize(abs(disc)).items()
+    )
+    assert FieldRecord("x", 3, "S3", disc, local).fundamental_disc == expected
 
 
 def test_fundamental_discriminant_rejects_zero():
     with pytest.raises(DomainError):
         fundamental_discriminant(0)
+
+
+def test_record_square_class_comes_from_its_own_primes(bundled):
+    # records and bare discriminants share one square-class formula; a record
+    # whose primes do not cover its disc raises rather than answer wrongly
+    assert len(bundled.records) == 385
+    for rec in bundled.records:
+        assert rec.fundamental_disc == fundamental_discriminant(rec.disc)
+    wild_2 = LocalDatum(2, wild_valuation=3)
+    with pytest.raises(DomainError, match="prime factor outside"):
+        FieldRecord("x", 3, "S3", -104, (wild_2,)).fundamental_disc
 
 
 # ---------------------------------------------------------------------------
@@ -1046,6 +1062,36 @@ def test_census_calls_each_layer_once_per_pair(monkeypatch, y, overrides):
         "delta": 1_441,
         "from_label": 1,
     }
+
+
+def test_groups_records_and_counts_never_factor(monkeypatch):
+    # a group label is normalised by gcd/lcm, a record's square class is read
+    # off its own primes, and compose_disc's element of each order is a closed
+    # form; only ingest's quadratic-subfield check still factors
+    import sdxa.census as census
+    import sdxa.groups as groups
+    import sdxa.splitting as splitting
+
+    reference = [count_N(ingest(str(FIXTURE)), 3, C2, 10**6),
+                 count_N_truncated(ingest(str(FIXTURE)), 3, C2, 10**6, 100)]
+    dataset = ingest(str(FIXTURE))
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) was called")
+
+    for module in (groups, census, splitting):
+        monkeypatch.setattr(module, "factorize", refuse)
+    p12, p18 = 100000000000031, 1000000000000000003
+    for label, factors in (("C2xC4", (2, 4)), ("C4xC2xC3", (2, 12)),
+                           (f"C{p12}", (p12,)), (f"C{p18}", (p18,)),
+                           (f"C2xC{2 * p18}", (2, 2 * p18))):
+        assert AbelianGroup.from_label(label).invariant_factors == factors
+    for f_rec in dataset.by_group("S3"):
+        for k_rec in dataset.by_group("C2"):
+            compose_disc(f_rec, k_rec)
+    assert [count_N(dataset, 3, C2, 10**6),
+            count_N_truncated(dataset, 3, C2, 10**6, 100)] == reference
+    assert all("fundamental_disc" in vars(r) for r in dataset.by_group("S3"))
 
 
 RECORD_FIELDS = ("label", "degree", "group", "disc", "local", "quad_subfield_discs")

@@ -352,12 +352,14 @@ def test_census_warns_beyond_coverage(capsys):
 
 
 def test_census_huge_abelian_order_is_answered(capsys):
-    # the S3 coverage check compares 2000 ** |A| with X; it must not build it
-    code, out, err = run(capsys, "census", "--d", "3", "--A", "C999983",
-                         "--X", "10")
-    assert code == 0
-    assert "count below X = 10 (exact): 0" in out
-    assert err == "warning: no coverage assertion for group C999983\n"
+    # the S3 coverage check compares 2000 ** |A| with X; it must not build it,
+    # and the group label must not be factored (|A| is a prime near 10^18)
+    for label in ("C999983", "C1000000000000000003"):
+        code, out, err = run(capsys, "census", "--d", "3", "--A", label,
+                             "--X", "10")
+        assert code == 0
+        assert "count below X = 10 (exact): 0" in out
+        assert err == f"warning: no coverage assertion for group {label}\n"
 
 
 def test_census_missing_dataset_is_error_not_traceback(capsys):

@@ -5,6 +5,7 @@ the group's own elements (regular action), never trusting the closed-form
 shortcuts they certify.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -17,12 +18,14 @@ from sdxa.groups import (
     AbelianGroup,
     MalleInvariants,
     ProductClass,
+    _normalize_invariant_factors,
     abelian_counting_constants,
     abelian_groups_of_order,
     abelian_groups_up_to,
     conjugacy_classes_product,
     cyclotomic_class_orbits,
     element_order,
+    factorize,
     galois_orbits,
     malle_invariants_product,
     regular_cycle_type,
@@ -70,6 +73,72 @@ class TestAbelianGroup:
         groups = abelian_groups_up_to(8)
         assert all(not g.is_trivial for g in groups)
         assert len(abelian_groups_up_to(8, include_trivial=True)) == len(groups) + 1
+
+
+def _oracle_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """The per-prime normaliser: collect each prime's exponents across all
+    factors, then stack the largest prime powers into the last factor, the
+    second largest into the one before, and so on."""
+    exponents: dict[int, list[int]] = {}
+    for f in factors:
+        if f < 1:
+            raise DomainError(f"cyclic factor must be >= 1: {f}")
+        for p, e in factorize(f).items():
+            exponents.setdefault(p, []).append(e)
+    depth = max((len(v) for v in exponents.values()), default=0)
+    chain: list[int] = []
+    for i in range(depth):
+        factor = 1
+        for p, exps in exponents.items():
+            padded = sorted(exps, reverse=True) + [0] * depth
+            factor *= p ** padded[i]
+        chain.append(factor)
+    chain = [c for c in chain if c > 1]
+    return tuple(reversed(chain))
+
+
+P12, Q12, P18 = 999999999989, 1000000000039, 1000000000000000003  # primes
+
+
+class TestInvariantFactors:
+    def test_gcd_lcm_chain_matches_per_prime_stacking(self):
+        rng = random.Random(1901)
+        for _ in range(20_000):
+            factors = tuple(
+                rng.randint(1, 400) if rng.randrange(8) else 1
+                for _ in range(rng.randint(0, 5))
+            )
+            chain = _normalize_invariant_factors(factors)
+            assert chain == _oracle_invariant_factors(factors), factors
+
+    def test_primes_near_10_to_the_12_match_the_oracle(self):
+        for factors in [(P12,), (2 * P12, 3 * P12), (P12, 1, Q12, 6), (Q12, 4, 2)]:
+            chain = _normalize_invariant_factors(factors)
+            assert chain == _oracle_invariant_factors(factors), factors
+
+    def test_primes_near_10_to_the_18(self):
+        # beyond the oracle's trial division: the chains are worked by hand
+        assert AbelianGroup.from_label(f"C2xC{2 * P18}").invariant_factors == (
+            2,
+            2 * P18,
+        )
+        for factors, chain in [
+            ((P18,), (P18,)),
+            ((1, P18, 1), (P18,)),
+            ((P18, P18), (P18, P18)),
+            ((2 * P18, 3 * P18), (P18, 6 * P18)),
+            ((4, 6, P18), (2, 12 * P18)),
+        ]:
+            assert AbelianGroup(factors).invariant_factors == chain
+
+    def test_nonpositive_factor_is_the_same_domain_error(self):
+        for factors, bad in [((0,), 0), ((4, 0), 0), ((2, -3, 0), -3)]:
+            message = f"^cyclic factor must be >= 1: {bad}$"
+            for normalize in (_normalize_invariant_factors, _oracle_invariant_factors):
+                with pytest.raises(DomainError, match=message):
+                    normalize(factors)
+        with pytest.raises(DomainError, match="^cyclic factor must be >= 1: 0$"):
+            AbelianGroup.from_label("C2xC0")
 
 
 class TestElements:

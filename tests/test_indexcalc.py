@@ -149,7 +149,9 @@ class TestDelta:
     def test_element_of_order_is_stable_under_the_memo(self):
         from sdxa.census import _element_of_order
 
-        for label in self.MEMO_GROUPS:
+        # the closed form picks the element the walk over group.elements()
+        # picked: the first of that order in residue order
+        for label in self.MEMO_GROUPS + ["C1", "C2xC6"]:
             group = AbelianGroup.from_label(label)
             orders = {element_order(h) for h in group.elements()}
             for order in range(1, group.order + 1):
@@ -157,6 +159,9 @@ class TestDelta:
                     if order in orders:
                         h = _element_of_order(group, order)
                         assert h.group == group and element_order(h) == order
+                        assert h == next(
+                            e for e in group.elements() if element_order(e) == order
+                        )
                     else:
                         with pytest.raises(DomainError):
                             _element_of_order(group, order)
