@@ -1072,8 +1072,9 @@ def test_groups_records_and_counts_never_factor(monkeypatch):
     import sdxa.groups as groups
     import sdxa.splitting as splitting
 
-    reference = [count_N(ingest(str(FIXTURE)), 3, C2, 10**6),
-                 count_N_truncated(ingest(str(FIXTURE)), 3, C2, 10**6, 100)]
+    unpatched = ingest(str(FIXTURE))
+    reference = [count_N(unpatched, 3, C2, 10**6),
+                 count_N_truncated(unpatched, 3, C2, 10**6, 100)]
     dataset = ingest(str(FIXTURE))
 
     def refuse(n):

@@ -118,10 +118,8 @@ class TestInvariantFactors:
 
     def test_primes_near_10_to_the_18(self):
         # beyond the oracle's trial division: the chains are worked by hand
-        assert AbelianGroup.from_label(f"C2xC{2 * P18}").invariant_factors == (
-            2,
-            2 * P18,
-        )
+        label = f"C2xC{2 * P18}"
+        assert AbelianGroup.from_label(label).invariant_factors == (2, 2 * P18)
         for factors, chain in [
             ((P18,), (P18,)),
             ((1, P18, 1), (P18,)),
