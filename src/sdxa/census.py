@@ -20,7 +20,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
     RecordParseError,
     RecordValidationError,
 )
-from .groups import AbelianElement, AbelianGroup, factorize
+from .groups import AbelianElement, AbelianGroup, factorize, is_prime
 from .indexcalc import delta
 from .perms import CycleType, ind
 
@@ -38,9 +38,10 @@ _WILD_RE = re.compile(r"^w\((\d+)\)$")
 _COVERAGE_RE = re.compile(r"^#coverage\s+group=(\S+)\s+maxdisc=(\d+)\s*$")
 
 
-def _square_class(n: int, primes: Iterable[int]) -> int:
-    """The fundamental discriminant in the square class of ``n``, whose prime
-    factors all lie in ``primes``: see :func:`fundamental_discriminant`."""
+def _square_class(n: int, primes: Iterable[int]) -> tuple[int, int]:
+    """The fundamental discriminant in the square class of ``n`` (see
+    :func:`fundamental_discriminant`) and ``rest``, the part of ``n`` prime to
+    ``primes``, taken as squarefree: a fundamental ``n`` gets ``n`` back."""
     if n == 0:
         raise DomainError("discriminant must be nonzero")
     core, rest = (1 if n > 0 else -1), abs(n)
@@ -49,9 +50,8 @@ def _square_class(n: int, primes: Iterable[int]) -> int:
         while rest % p == 0:
             rest, e = rest // p, e + 1
         core *= p ** (e % 2)
-    if rest != 1:
-        raise DomainError(f"{n} has a prime factor outside {tuple(primes)}")
-    return core if core % 4 == 1 else 4 * core
+    core *= rest >> ((rest & -rest).bit_length() - 1 & ~1)  # less its square 2-power
+    return (core if core % 4 == 1 else 4 * core), rest
 
 
 def fundamental_discriminant(disc: int) -> int:
@@ -65,7 +65,7 @@ def fundamental_discriminant(disc: int) -> int:
     >>> fundamental_discriminant(8)
     8
     """
-    return _square_class(disc, factorize(abs(disc)) if disc else ())
+    return _square_class(disc, factorize(abs(disc)) if disc else ())[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,10 @@ def _datum_problem(
         len(set(tame.parts)) != 1 or exponent % tame.parts[0]
     ):
         return f"inertia class at {prime} is not the regular type of a group element"
-    return None
+    try:
+        return None if is_prime(prime) else f"local datum at {prime}, which is not prime"
+    except DomainError as exc:
+        return f"local datum at {prime}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -164,15 +167,6 @@ class FieldRecord:
         return _group_of_label(self.group)
 
     @property
-    def closure_modulus(self) -> int:
-        """Primes coprime to this carry honest tame inertia classes: the
-        Galois closure's order (d! for full symmetric records, the group
-        order for abelian ones)."""
-        if self.is_symmetric:
-            return math.factorial(self.degree)
-        return self.abelian_group.order
-
-    @property
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(datum.prime for datum in self.local)
 
@@ -184,54 +178,52 @@ class FieldRecord:
     @cached_property
     def fundamental_disc(self) -> int:
         """The square class of ``disc`` from the record's own primes, on first access."""
-        return _square_class(self.disc, self.ramified_primes)
+        fundamental, rest = _square_class(self.disc, self.ramified_primes)
+        if rest != 1:
+            raise DomainError(f"{self.disc} has a prime factor outside {self.ramified_primes}")
+        return fundamental
 
     def local_at(self, prime: int) -> LocalDatum | None:
         return self.local_by_prime.get(prime)
 
     def validate(self) -> None:
-        if self.is_symmetric:
+        problem = self._problem()
+        if problem is not None:
+            raise RecordValidationError(problem, self.label)
+
+    def _problem(self) -> str | None:
+        """The first thing wrong with the record, or None: the group checks,
+        then sorted and distinct primes, then each datum, then the product."""
+        group = None if self.is_symmetric else self.abelian_group
+        if group is None:
             if self.degree != _SYMMETRIC_GROUPS[self.group]:
-                raise RecordValidationError(
-                    f"degree {self.degree} does not match group {self.group}",
-                    self.label,
-                )
+                return f"degree {self.degree} does not match group {self.group}"
             if self.quad_subfield_discs:
-                raise RecordValidationError(
-                    "quadratic-subfield field is reserved for abelian records",
-                    self.label,
-                )
+                return "quadratic-subfield field is reserved for abelian records"
+        elif group.order != self.degree:
+            return f"degree {self.degree} does not match group order {group.order}"
         else:
-            group = self.abelian_group
-            if group.order != self.degree:
-                raise RecordValidationError(
-                    f"degree {self.degree} does not match group order {group.order}",
-                    self.label,
-                )
+            primes = self.ramified_primes
             for q in self.quad_subfield_discs:
-                if q in (0, 1) or fundamental_discriminant(q) != q:
-                    raise RecordValidationError(
-                        f"{q} is not a fundamental discriminant", self.label
-                    )
-        primes = self.ramified_primes
-        if list(primes) != sorted(set(primes)):
-            raise RecordValidationError(
-                "ramified primes must be distinct and sorted", self.label
-            )
-        modulus = self.closure_modulus
-        exponent = None if self.is_symmetric else self.abelian_group.exponent
-        for datum in self.local:
-            problem = _datum_problem(datum, self.degree, modulus, exponent)
-            if problem is not None:
-                raise RecordValidationError(problem, self.label)
-        product = 1
-        for datum in self.local:
-            product *= datum.prime ** datum.valuation
-        if product != abs(self.disc):
-            raise RecordValidationError(
-                f"local data product {product} != |disc| = {abs(self.disc)}",
-                self.label,
-            )
+                fundamental, rest = _square_class(q, primes) if q else (0, 1)
+                if q in (0, 1) or fundamental != q:
+                    return f"{q} is not a fundamental discriminant"
+                if rest != 1:
+                    return f"{q} ramifies outside the record's primes"
+        # Primes prime to the Galois closure's order carry tame inertia classes.
+        modulus = math.factorial(self.degree) if group is None else group.order
+        exponent = None if group is None else group.exponent
+        previous, product, problem = 1, 1, None
+        for datum in self.local:  # one pass; an unsorted prime outranks a bad datum
+            if datum.prime <= previous:
+                return "ramified primes must be distinct and sorted"
+            previous = datum.prime
+            problem = problem or _datum_problem(datum, self.degree, modulus, exponent)
+            if problem is None:
+                product *= datum.prime ** datum.valuation
+        if problem is None and product != abs(self.disc):
+            return f"local data product {product} != |disc| = {abs(self.disc)}"
+        return problem
 
     def serialize(self) -> str:
         local_field = ",".join(datum.serialize() for datum in self.local)
@@ -507,11 +499,15 @@ class ComposeResult(_ComposeFields):
 
 def _element_of_order(group: AbelianGroup, order: int) -> AbelianElement:
     """The element of order ``order`` with residue exp(A)/order in the last
-    invariant factor and d_i, which reduces to 0, in each earlier factor d_i."""
-    if group.exponent % order:
-        raise DomainError(f"group {group.label()} has no element of order {order}")
-    factors = group.invariant_factors
-    return group.element(factors[:-1] + (group.exponent // order,) if factors else ())
+    invariant factor and d_i, which reduces to 0, in each earlier factor d_i;
+    built once per group instance, which a load's records share."""
+    memo = group.elements_by_order
+    if order not in memo:
+        if group.exponent % order:
+            raise DomainError(f"group {group.label()} has no element of order {order}")
+        factors = group.invariant_factors
+        memo[order] = group.element(factors[:-1] + (group.exponent // order,) if factors else ())
+    return memo[order]
 
 
 def compose_disc(
@@ -642,6 +638,9 @@ def _power_below(base: int, power: int, x: int) -> bool:
     return (base < 2 or power <= x.bit_length()) and base**power < x
 
 
+Pair = tuple[FieldRecord, FieldRecord]
+
+
 def _coverage_warnings(
     dataset: Dataset, d: int, group: AbelianGroup, x: int
 ) -> list[str]:
@@ -659,18 +658,18 @@ def _coverage_warnings(
     return warnings
 
 
-def iter_census_pairs(
-    dataset: Dataset, d: int, group: AbelianGroup
-) -> list[tuple[FieldRecord, FieldRecord]]:
-    """All linearly disjoint (F, K) candidate pairs for the product census."""
-    f_records = dataset.by_group(f"S{d}")
+def _census_pairs(dataset: Dataset, d: int, group: AbelianGroup) -> Iterator[Pair]:
+    """The linearly disjoint (F, K) candidate pairs, one at a time."""
     k_records = dataset.abelian_records(group)
-    return [
-        (f_record, k_record)
-        for f_record in f_records
-        for k_record in k_records
-        if linearly_disjoint(f_record, k_record)
-    ]
+    for f_record in dataset.by_group(f"S{d}"):
+        for k_record in k_records:
+            if linearly_disjoint(f_record, k_record):
+                yield f_record, k_record
+
+
+def iter_census_pairs(dataset: Dataset, d: int, group: AbelianGroup) -> list[Pair]:
+    """All linearly disjoint (F, K) candidate pairs for the product census."""
+    return list(_census_pairs(dataset, d, group))
 
 
 def _count(
@@ -698,7 +697,7 @@ def _count(
     except OverflowError:
         raise DomainError("x is beyond the float range") from None
     count = flagged = 0
-    for f_record, k_record in iter_census_pairs(dataset, d, group):
+    for f_record, k_record in _census_pairs(dataset, d, group):
         result = compose_disc(f_record, k_record, overrides)
         if result.unresolved_primes:
             flagged += result.lower_bound < x

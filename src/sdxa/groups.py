@@ -47,6 +47,33 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (B, k): every odd composite n < B fails Miller-Rabin to one of the first k primes
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017).
+_PROVEN_BASES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                 (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+                 (318665857834031151167461, 12), (3317044064679887385961981, 13))
+
+
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by Miller-Rabin to the fewest first primes
+    proven for its size; DomainError past the last bound, where none is."""
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    for bound, k in _PROVEN_BASES:
+        if n < bound:
+            break
+    else:
+        raise DomainError(f"cannot prove {n} prime or composite: it is not below {bound}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * t with t odd
+    t = (n - 1) >> s
+    for a in _SMALL_PRIMES[:k]:
+        x = pow(a, t, n)
+        if x != 1 and x != n - 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(1, s)):
+            return False
+    return True
+
+
 def _normalize_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an arbitrary cyclic-factor list as an invariant-factor chain:
     C_a x C_b = C_gcd x C_lcm, so replacing each pair (a_i, a_j), i < j, by
@@ -91,6 +118,11 @@ class AbelianGroup:
     @cached_property
     def order(self) -> int:
         return prod(self.invariant_factors)
+
+    @cached_property
+    def elements_by_order(self) -> dict[int, "AbelianElement"]:
+        """A memo for one element of each order, kept on this instance only."""
+        return {}
 
     @property
     def exponent(self) -> int:

@@ -115,6 +115,39 @@ def test_record_square_class_comes_from_its_own_primes(bundled):
         FieldRecord("x", 3, "S3", -104, (wild_2,)).fundamental_disc
 
 
+P18 = 1000000000000000003  # prime
+
+
+def test_quadratic_subfields_are_read_off_the_records_own_primes(monkeypatch):
+    # no quadratic-subfield check factors: a C2 record at a prime near 10^18
+    # loads, and each fundamental q of the fixture passes from its record's primes
+    import sdxa.census as census
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) was called")
+
+    monkeypatch.setattr(census, "factorize", refuse)
+    big = load_dataset(f"2.big;2;C2;-{P18};{P18}:t(2);-{P18}\n").records[0]
+    assert (big.quad_subfield_discs, big.fundamental_disc) == ((-P18,), -P18)
+    assert len(ingest(str(FIXTURE)).by_group("C2")) == 61
+
+
+@pytest.mark.parametrize("q", [-4, 8, -8, 5, -3, 12, -20, 24, 40, -56, 60, -15, 21])
+def test_square_class_of_a_fundamental_q_survives_an_outside_part(q):
+    # taking the part of q outside the primes as squarefree (less its square
+    # 2-power) keeps a fundamental q fixed, so "not fundamental" is only said
+    # when the record's primes prove it; otherwise the cofactor is reported
+    from sdxa.census import _square_class
+
+    assert fundamental_discriminant(q) == q
+    primes = tuple(factorize(abs(q)))
+    for k in range(len(primes) + 1):
+        fundamental, rest = _square_class(q, primes[:k])
+        assert fundamental == q
+        assert rest == math.prod(p**e for p, e in factorize(abs(q)).items()
+                                 if p not in primes[:k])
+
+
 # ---------------------------------------------------------------------------
 # record grammar / validation
 # ---------------------------------------------------------------------------
@@ -203,6 +236,19 @@ VALIDATION_CASES = [
     ("a;3;S3;-46;23:t(2.1);", "!= |disc|"),
     # non-fundamental quadratic subfield discriminant
     ("a;2;C2;12;2:w(2),3:t(2);45", "not a fundamental discriminant"),
+    # a quadratic subfield ramified where the record is not
+    ("a;2;C2;-23;23:t(2);-4", "-4 ramifies outside the record's primes"),
+    ("a;2;C2;12;2:w(2),3:t(2);-15", "-15 ramifies outside the record's primes"),
+    # a datum at a number that is not prime, or not provably prime
+    ("a;3;S3;175;175:t(2.1);", "local datum at 175, which is not prime"),
+    ("a;2;C2;-8188;2:w(2),2047:t(2);", "local datum at 2047, which is not prime"),
+    (f"a;2;C2;{2**89 - 1};{2**89 - 1}:t(2);",
+     f"cannot prove {2**89 - 1} prime or composite"),
+    # two faults at once: the first check in the order of validate reports
+    ("a;3;S3;-115;23:w(1),5:t(2.1);", "record 'a': ramified primes must be distinct and sorted"),
+    ("a;3;S3;-46;23:w(1);", "record 'a': wild datum at 23, a prime coprime to the closure "
+     "modulus 6; expected a tame class"),
+    ("a;2;C2;12;3:t(2),2:w(2);45", "record 'a': 45 is not a fundamental discriminant"),
 ]
 
 
@@ -1064,10 +1110,92 @@ def test_census_calls_each_layer_once_per_pair(monkeypatch, y, overrides):
     }
 
 
+@pytest.mark.parametrize(
+    "y,overrides",
+    [(None, None), (100, None), (None, FIXTURE_OVERRIDES)],
+    ids=["None", "100", "overrides"],
+)
+def test_counts_compose_the_listed_pairs_in_order(monkeypatch, bundled, y, overrides):
+    # the streamed pair loop and iter_census_pairs enumerate the same pairs
+    import sdxa.census as census
+
+    composed = []
+
+    def recording(f_record, k_record, overrides=None, _original=census.compose_disc):
+        composed.append((f_record, k_record))
+        return _original(f_record, k_record, overrides)
+
+    monkeypatch.setattr(census, "compose_disc", recording)
+    if y is None:
+        count_N(bundled, 3, C2, 10**6, overrides)
+    else:
+        count_N_truncated(bundled, 3, C2, 10**6, y, overrides)
+    pairs = iter_census_pairs(bundled, 3, C2)
+    assert len(pairs) == 19_704
+    assert [(f.label, k.label) for f, k in composed] == [
+        (f.label, k.label) for f, k in pairs
+    ]
+    assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(composed, pairs))
+
+
+TWO_FAULTS = (
+    "f1;3;S3;-104;2:w(3),13:t(2.1);",
+    "k1;2;C2;8;2:w(3);8",
+    "k2;2;C2;-4;2:w(2);",
+)
+
+
+def test_a_count_reports_the_first_faulty_pair_it_reaches():
+    # pairs are composed as they are found: f1 x k1 breaks the override bound
+    # before f1 x k2, whose record lacks its quadratic subfield, is reached; a
+    # file listing k2 first meets the missing subfield first
+    def _count(dataset, d, group, x, y, overrides):
+        if y is None:
+            return count_N(dataset, d, group, x, overrides)
+        return count_N_truncated(dataset, d, group, x, y, overrides)
+
+    too_big = WildOverrides({(2, 3, 3): 7})
+    forward = load_dataset("\n".join(TWO_FAULTS) + "\n")
+    backward = load_dataset("\n".join(TWO_FAULTS[::-1]) + "\n")
+    for y in (None, 1000):
+        with pytest.raises(DomainError, match="override discrepancy 7 at prime 2 exceeds"):
+            _count(forward, 3, C2, 10**6, y, too_big)
+        with pytest.raises(InsufficientDataError, match="'k2' has even order"):
+            _count(backward, 3, C2, 10**6, y, too_big)
+    with pytest.raises(InsufficientDataError, match="'k2' has even order"):
+        iter_census_pairs(forward, 3, C2)
+
+
+def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
+    # compose_disc asks for the element of order 2 at each of the 1,441 shared
+    # tame-tame primes; the records of a load share one group, which keeps it
+    built: list[AbelianGroup] = []
+    original = AbelianGroup.element
+
+    def counted(self, residues):
+        built.append(self)
+        return original(self, residues)
+
+    monkeypatch.setattr(AbelianGroup, "element", counted)
+    first, second = ingest(str(FIXTURE)), ingest(str(FIXTURE))
+    results = []
+    for dataset in (first, second, first):
+        results.append(count_N(dataset, 3, C2, 10**6))
+        results.append(count_N_truncated(dataset, 3, C2, 10**6, 100))
+    group_1 = first.by_group("C2")[0].abelian_group
+    group_2 = second.by_group("C2")[0].abelian_group
+    assert built == [group_1, group_2] and group_1 is not group_2
+    assert built[0] is group_1 and built[1] is group_2
+    assert group_1.elements_by_order is not group_2.elements_by_order
+    assert group_1.elements_by_order[2] is not group_2.elements_by_order[2]
+    assert group_1.elements_by_order[2] == group_2.elements_by_order[2]
+    assert results[:2] == results[2:4] == results[4:]
+
+
 def test_groups_records_and_counts_never_factor(monkeypatch):
-    # a group label is normalised by gcd/lcm, a record's square class is read
-    # off its own primes, and compose_disc's element of each order is a closed
-    # form; only ingest's quadratic-subfield check still factors
+    # a group label is normalised by gcd/lcm, a record's square class and its
+    # quadratic subfields are read off its own primes, and compose_disc's
+    # element of each order is a closed form: neither ingest nor a count factors
     import sdxa.census as census
     import sdxa.groups as groups
     import sdxa.splitting as splitting
@@ -1075,13 +1203,13 @@ def test_groups_records_and_counts_never_factor(monkeypatch):
     unpatched = ingest(str(FIXTURE))
     reference = [count_N(unpatched, 3, C2, 10**6),
                  count_N_truncated(unpatched, 3, C2, 10**6, 100)]
-    dataset = ingest(str(FIXTURE))
 
     def refuse(n):
         raise AssertionError(f"factorize({n}) was called")
 
     for module in (groups, census, splitting):
         monkeypatch.setattr(module, "factorize", refuse)
+    dataset = ingest(str(FIXTURE))
     p12, p18 = 100000000000031, 1000000000000000003
     for label, factors in (("C2xC4", (2, 4)), ("C4xC2xC3", (2, 12)),
                            (f"C{p12}", (p12,)), (f"C{p18}", (p18,)),

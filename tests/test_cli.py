@@ -362,6 +362,20 @@ def test_census_huge_abelian_order_is_answered(capsys):
         assert err == f"warning: no coverage assertion for group {label}\n"
 
 
+def test_census_loads_a_quadratic_record_at_a_prime_near_10_to_the_18(
+        capsys, tmp_path):
+    # its quadratic subfield is checked against its own primes, not factored
+    p = 1000000000000000003
+    dataset = tmp_path / "big.txt"
+    dataset.write_text(f"2.big;2;C2;-{p};{p}:t(2);-{p}\n")
+    code, out, err = run(capsys, "census", "--dataset", str(dataset), "--d", "3",
+                         "--A", "C2", "--X", "10")
+    assert code == 0
+    assert "count below X = 10 (exact): 0" in out
+    assert err == ("warning: no coverage assertion for group S3\n"
+                   "warning: no coverage assertion for group C2\n")
+
+
 def test_census_missing_dataset_is_error_not_traceback(capsys):
     code, _, err = run(capsys, "census", "--d", "3", "--A", "C2",
                        "--X", "100", "--dataset", "/nonexistent/file.txt")
@@ -531,6 +545,10 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          None),
         (["invariants", "--d", "1600", "--A", "C2"], None),
         (["invariants", "--d", "1000000", "--A", "C2"], None),
+        (["compose", "--F", "3.175", "--K", "2.28", "--dataset"],
+         "3.175;3;S3;175;175:t(2.1);\n2.28;2;C2;28;2:w(2),7:t(2);28\n"),
+        (["census", "--d", "3", "--A", "C2", "--X", "10", "--dataset"],
+         f"2.m89;2;C2;{2**89 - 1};{2**89 - 1}:t(2);\n"),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
          "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
@@ -540,7 +558,8 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          "spec-X-past-float", "spec-comparator-underflow",
          "spec-comparator-overflow", "census-d-2", "census-modulus-past-digits",
          "census-modulus-huge-d", "invariants-order-past-digits",
-         "invariants-order-huge-d"],
+         "invariants-order-huge-d", "dataset-composite-prime",
+         "dataset-unproven-prime"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):

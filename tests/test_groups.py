@@ -5,6 +5,7 @@ the group's own elements (regular action), never trusting the closed-form
 shortcuts they certify.
 """
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -27,6 +28,7 @@ from sdxa.groups import (
     element_order,
     factorize,
     galois_orbits,
+    is_prime,
     malle_invariants_product,
     regular_cycle_type,
     regular_permutation,
@@ -137,6 +139,66 @@ class TestInvariantFactors:
                     normalize(factors)
         with pytest.raises(DomainError, match="^cyclic factor must be >= 1: 0$"):
             AbelianGroup.from_label("C2xC0")
+
+
+# The least odd composite that is a strong pseudoprime to each of the first k
+# primes, with its factors: each is a bound of the proven base table.
+STRONG_PSEUDOPRIMES = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+    12: (318665857834031151167461, (399165290221, 798330580441)),
+    13: (3317044064679887385961981, (1287836182261, 2575672364521)),
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The textbook Miller-Rabin round to base ``a`` for odd ``n``."""
+    t, s = n - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    x = pow(a, t, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestIsPrime:
+    def test_matches_trial_division_up_to_10_to_the_5(self):
+        for n in range(-3, 10**5 + 1):
+            assert is_prime(n) == (n > 1 and factorize(n) == {n: 1}), n
+
+    def test_each_bound_is_a_composite_its_bases_miss(self):
+        # n < B uses the first k primes, B itself one base set more: a bound
+        # read as n <= B, or paired with too few bases, calls B prime
+        for k, (n, factors) in STRONG_PSEUDOPRIMES.items():
+            assert math.prod(factors) == n and min(factors) > 1
+            assert all(_strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
+            if k < 13:
+                assert is_prime(n) is False, n
+        with pytest.raises(DomainError, match="^cannot prove 3317044064679887385961981 "):
+            is_prime(STRONG_PSEUDOPRIMES[13][0])
+
+    def test_large_primes_and_composites(self):
+        m61, m89 = 2**61 - 1, 2**89 - 1  # Mersenne primes
+        for n in (P12, Q12, P18, m61, 2**31 - 1, 10**24 + 7):
+            assert is_prime(n), n
+        for n in (P12 * Q12, P12 * P12, 3 * P18, m61 * 3, 2**64 + 1, 10**24 + 1):
+            assert not is_prime(n), n
+        with pytest.raises(DomainError, match=f"cannot prove {m89} prime"):
+            is_prime(m89)
+        with pytest.raises(DomainError, match=f"cannot prove {P18 * P18} prime"):
+            is_prime(P18 * P18)
 
 
 class TestElements:

@@ -155,16 +155,20 @@ class TestDelta:
             group = AbelianGroup.from_label(label)
             orders = {element_order(h) for h in group.elements()}
             for order in range(1, group.order + 1):
-                for _ in range(2):
-                    if order in orders:
-                        h = _element_of_order(group, order)
-                        assert h.group == group and element_order(h) == order
-                        assert h == next(
-                            e for e in group.elements() if element_order(e) == order
-                        )
-                    else:
+                if order in orders:
+                    h = _element_of_order(group, order)
+                    assert h.group == group and element_order(h) == order
+                    assert h == next(
+                        e for e in group.elements() if element_order(e) == order
+                    )
+                    # a repeat call hands back the memoised object itself
+                    assert _element_of_order(group, order) is h
+                    assert group.elements_by_order[order] is h
+                else:
+                    for _ in range(2):
                         with pytest.raises(DomainError):
                             _element_of_order(group, order)
+                    assert order not in group.elements_by_order
 
     def test_delta_bounds_and_attainment(self):
         # 0 <= delta <= d * ind(h_reg); the upper bound is attained exactly on
