@@ -1149,7 +1149,7 @@ def test_a_count_reports_the_first_faulty_pair_it_reaches():
     # pairs are composed as they are found: f1 x k1 breaks the override bound
     # before f1 x k2, whose record lacks its quadratic subfield, is reached; a
     # file listing k2 first meets the missing subfield first
-    def _count(dataset, d, group, x, y, overrides):
+    def count(dataset, d, group, x, y, overrides):
         if y is None:
             return count_N(dataset, d, group, x, overrides)
         return count_N_truncated(dataset, d, group, x, y, overrides)
@@ -1159,9 +1159,9 @@ def test_a_count_reports_the_first_faulty_pair_it_reaches():
     backward = load_dataset("\n".join(TWO_FAULTS[::-1]) + "\n")
     for y in (None, 1000):
         with pytest.raises(DomainError, match="override discrepancy 7 at prime 2 exceeds"):
-            _count(forward, 3, C2, 10**6, y, too_big)
+            count(forward, 3, C2, 10**6, y, too_big)
         with pytest.raises(InsufficientDataError, match="'k2' has even order"):
-            _count(backward, 3, C2, 10**6, y, too_big)
+            count(backward, 3, C2, 10**6, y, too_big)
     with pytest.raises(InsufficientDataError, match="'k2' has even order"):
         iter_census_pairs(forward, 3, C2)
 
