@@ -52,7 +52,7 @@ print()
 # The discrepancy delta measures how far the compositum valuation falls short
 # of the naive sum |A|*ind(g) + d*ind(h_reg).  It too has a closed form.
 # ---------------------------------------------------------------------------
-discrepancy = delta(3, group, g, h)
+discrepancy = delta(g, h)
 print(f"delta(g, h)             = {discrepancy}")
-print(f"delta, closed gcd form  = {delta_closed_form(g, h_reg, 3, group.order)}")
+print(f"delta, closed gcd form  = {delta_closed_form(g, h_reg)}")
 print(f"naive sum minus pair idx = {group.order * ind(g) + 3 * ind(h_reg) - route_closed}")

@@ -27,7 +27,7 @@ from sdxa.perms import pair_index
 # in the natural degree-6 action:
 # ---------------------------------------------------------------------------
 group = AbelianGroup.from_label("C2")
-for cls in conjugacy_classes_product(3, group, nontrivial_only=True):
+for cls in conjugacy_classes_product(3, group):
     index = pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
     print(f"class {str(cls):16s} index = {index}")
 print()
@@ -39,7 +39,7 @@ print()
 invariants = malle_invariants_product(3, group)
 print(f"a = {invariants.a}, exponent = {invariants.exponent}, b = {invariants.b}")
 
-classes = conjugacy_classes_product(3, group, nontrivial_only=True)
+classes = conjugacy_classes_product(3, group)
 minimal = [
     c for c in classes
     if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == invariants.a

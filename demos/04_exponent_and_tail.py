@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from sdxa.groups import AbelianGroup
 from sdxa.indexcalc import (
-    TailParams,
     beta,
     equality_cases,
     exponent_presets,
@@ -45,10 +44,10 @@ print()
 d = 3
 group = AbelianGroup.from_label("C2")
 presets = exponent_presets(d)
-result = beta(TailParams(d=d, group=group, r=presets))
+result = beta(d, group, presets)
 print(f"beta = {result.value}, attained on {[str(c) for c in result.attained]}")
 for cls, value in result.per_class:
-    print(f"  class {str(cls):14s} theta = {str(theta(cls, d, group)):>6s}"
+    print(f"  class {str(cls):14s} theta = {str(theta(cls)):>6s}"
           f"  contribution = {value}")
 margins = hypothesis_b_margin(d, group, presets)
 print(f"margins by cycle type: {[f'{g}: {m}' for g, m in margins.items()]}")

@@ -193,7 +193,9 @@ class FieldRecord:
 
     def _problem(self) -> str | None:
         """The first thing wrong with the record, or None: the group checks,
-        then sorted and distinct primes, then each datum, then the product."""
+        then sorted and distinct primes, then each datum, then the quadratic
+        subfields (against primes the datum checks have proven prime), then
+        the product."""
         group = None if self.is_symmetric else self.abelian_group
         if group is None:
             if self.degree != _SYMMETRIC_GROUPS[self.group]:
@@ -202,14 +204,6 @@ class FieldRecord:
                 return "quadratic-subfield field is reserved for abelian records"
         elif group.order != self.degree:
             return f"degree {self.degree} does not match group order {group.order}"
-        else:
-            primes = self.ramified_primes
-            for q in self.quad_subfield_discs:
-                fundamental, rest = _square_class(q, primes) if q else (0, 1)
-                if q in (0, 1) or fundamental != q:
-                    return f"{q} is not a fundamental discriminant"
-                if rest != 1:
-                    return f"{q} ramifies outside the record's primes"
         # Primes prime to the Galois closure's order carry tame inertia classes.
         modulus = math.factorial(self.degree) if group is None else group.order
         exponent = None if group is None else group.exponent
@@ -221,9 +215,17 @@ class FieldRecord:
             problem = problem or _datum_problem(datum, self.degree, modulus, exponent)
             if problem is None:
                 product *= datum.prime ** datum.valuation
-        if problem is None and product != abs(self.disc):
+        if problem is not None:
+            return problem
+        for q in self.quad_subfield_discs:
+            fundamental, rest = _square_class(q, self.ramified_primes) if q else (0, 1)
+            if q in (0, 1) or fundamental != q:
+                return f"{q} is not a fundamental discriminant"
+            if rest != 1:
+                return f"{q} ramifies outside the record's primes"
+        if product != abs(self.disc):
             return f"local data product {product} != |disc| = {abs(self.disc)}"
-        return problem
+        return None
 
     def serialize(self) -> str:
         local_field = ",".join(datum.serialize() for datum in self.local)
@@ -551,7 +553,7 @@ def compose_disc(
         delta_p: int | None
         if f_datum.tame_class is not None and k_datum.tame_class is not None:
             h = _element_of_order(group, k_datum.tame_class.parts[0])
-            delta_p = delta(d, group, f_datum.tame_class, h)
+            delta_p = delta(f_datum.tame_class, h)
         else:
             delta_p = overrides.lookup(p, v_f, v_k) if overrides else None
             if delta_p is None:

@@ -57,7 +57,6 @@ from .groups import (
     malle_invariants_product,
 )
 from .indexcalc import (
-    TailParams,
     beta,
     equality_cases,
     exponent_presets,
@@ -150,8 +149,8 @@ def cmd_verify_lemmas(args) -> int:
     checked = 0
     failures: list[str] = []
     equalities: list[str] = []
-    for cls in conjugacy_classes_product(args.d, group, nontrivial_only=True):
-        if theta(cls, args.d, group) > 0:
+    for cls in conjugacy_classes_product(args.d, group):
+        if theta(cls) > 0:
             failures.append(f"theta positive on {cls}")
         if cls.a_part.is_identity:
             continue
@@ -187,7 +186,7 @@ def cmd_tail_bound(args) -> int:
     attained: list[str] = []
     if args.beta is None:
         presets = exponent_presets(args.d, args.epsilon)
-        result = beta(TailParams(args.d, group, presets, epsilon=args.epsilon))
+        result = beta(args.d, group, presets)
         beta_value, origin = result.value, "preset"
         attained.append("attained on: " + ", ".join(map(str, result.attained)))
     else:

@@ -272,11 +272,10 @@ def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     return list(_abelian_groups_of_order(n))
 
 
-def abelian_groups_up_to(max_order: int, include_trivial: bool = False) -> list[AbelianGroup]:
-    """Every isomorphism class of abelian group of order <= ``max_order``."""
-    start = 1 if include_trivial else 2
+def abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
+    """Every isomorphism class of nontrivial abelian group of order <= ``max_order``."""
     out: list[AbelianGroup] = []
-    for n in range(start, max_order + 1):
+    for n in range(2, max_order + 1):
         out.extend(abelian_groups_of_order(n))
     return out
 
@@ -304,12 +303,10 @@ class ProductClass:
         return f"({self.sd_part}, {self.a_part})"
 
 
-def conjugacy_classes_product(
-    d: int, group: AbelianGroup, nontrivial_only: bool = True
-) -> list[ProductClass]:
-    """All conjugacy classes of the product group, identity pair optionally
-    excluded; deterministic order (partitions in descending lexicographic
-    order, elements in residue order).
+def conjugacy_classes_product(d: int, group: AbelianGroup) -> list[ProductClass]:
+    """All nontrivial conjugacy classes of the product group, in a
+    deterministic order (partitions in descending lexicographic order,
+    elements in residue order).
 
     >>> g = AbelianGroup.from_label("C2")
     >>> len(conjugacy_classes_product(3, g))
@@ -322,9 +319,7 @@ def conjugacy_classes_product(
         for ct in partitions(d)
         for a in group.elements()
     ]
-    if nontrivial_only:
-        classes = [c for c in classes if not c.is_trivial]
-    return classes
+    return [c for c in classes if not c.is_trivial]
 
 
 def cyclotomic_class_orbits(

@@ -8,6 +8,9 @@ exponent ``beta``, and the dyadic tail estimator — reduces to exact rational
 arithmetic on these integers.  Sign decisions are the whole point, so nothing
 in this module touches floating point except the final tail-series numerics,
 which only ever feed magnitude comparisons.
+
+A function of one class takes ``(g, h)`` and reads d = ``g.degree`` and
+A = ``h.group`` off it; a function over all classes takes ``(d, group[, r])``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
-    DegreeMismatchError,
     DivergentSeriesError,
     DomainError,
     MissingExponentError,
@@ -35,7 +37,7 @@ from .perms import CycleType, ind, pair_index, partitions
 
 
 @lru_cache(maxsize=None)
-def delta(d: int, group: AbelianGroup, g: CycleType, h: AbelianElement) -> int:
+def delta(g: CycleType, h: AbelianElement) -> int:
     """Discrepancy of the pair (g, h) in the degree-(d*|A|) product action:
 
         |A| * ind(g) + d * ind(h_reg) - pair_index(g, h_reg)
@@ -46,18 +48,14 @@ def delta(d: int, group: AbelianGroup, g: CycleType, h: AbelianElement) -> int:
     >>> from sdxa.groups import AbelianGroup
     >>> from sdxa.perms import CycleType
     >>> g3 = AbelianGroup.from_label("C3")
-    >>> delta(3, g3, CycleType((3,)), g3.element((1,)))
+    >>> delta(CycleType((3,)), g3.element((1,)))
     6
     """
-    if g.degree != d:
-        raise DegreeMismatchError(f"cycle type degree {g.degree} != d = {d}")
-    if h.group != group:
-        raise DomainError("element does not belong to the given group")
     h_reg = regular_cycle_type(h)
-    return group.order * ind(g) + d * ind(h_reg) - pair_index(g, h_reg)
+    return h.group.order * ind(g) + g.degree * ind(h_reg) - pair_index(g, h_reg)
 
 
-def delta_closed_form(g: CycleType, h: CycleType, m: int, n: int) -> int:
+def delta_closed_form(g: CycleType, h: CycleType) -> int:
     """The same discrepancy evaluated directly from two cycle types of
     degrees m and n:
 
@@ -65,13 +63,10 @@ def delta_closed_form(g: CycleType, h: CycleType, m: int, n: int) -> int:
 
     Must agree with :func:`delta` whenever ``h`` is a regular cycle type.
 
-    >>> delta_closed_form(CycleType((2, 1, 1)), CycleType((2,)), 4, 2)
+    >>> delta_closed_form(CycleType((2, 1, 1)), CycleType((2,)))
     2
     """
-    if g.degree != m:
-        raise DegreeMismatchError(f"first cycle type has degree {g.degree}, not {m}")
-    if h.degree != n:
-        raise DegreeMismatchError(f"second cycle type has degree {h.degree}, not {n}")
+    m, n = g.degree, h.degree
     return (
         n * sum(c - 1 for c in g.parts)
         + m * sum(c - 1 for c in h.parts)
@@ -124,7 +119,7 @@ def equality_cases(d: int, group: AbelianGroup) -> list[ProductClass]:
     []
     """
     out: list[ProductClass] = []
-    for cls in conjugacy_classes_product(d, group, nontrivial_only=True):
+    for cls in conjugacy_classes_product(d, group):
         if cls.a_part.is_identity:
             continue
         if index_compare(cls.sd_part, cls.a_part).equality:
@@ -132,7 +127,7 @@ def equality_cases(d: int, group: AbelianGroup) -> list[ProductClass]:
     return out
 
 
-def theta(cls: ProductClass, d: int, group: AbelianGroup) -> Fraction:
+def theta(cls: ProductClass) -> Fraction:
     """Normalized per-class exponent contribution:
 
         delta(class) / d  -  ind(regular type of the abelian part)
@@ -140,32 +135,17 @@ def theta(cls: ProductClass, d: int, group: AbelianGroup) -> Fraction:
     Always <= 0, with 0 exactly on equality cases and on classes with trivial
     abelian part.
     """
-    return Fraction(delta(d, group, cls.sd_part, cls.a_part), d) - ind(
+    return Fraction(delta(cls.sd_part, cls.a_part), cls.sd_part.degree) - ind(
         regular_cycle_type(cls.a_part)
     )
 
 
-@dataclass(frozen=True)
-class TailParams:
-    """Inputs for the combined-exponent computation.
-
-    ``r`` maps every nontrivial cycle type of S_d to the exponent achieved by
-    the corresponding dyadic-range count; ``epsilon`` is the slack added on
-    top of ``beta`` by the tail estimator.
-    """
-
-    d: int
-    group: AbelianGroup
-    r: dict[CycleType, Fraction]
-    epsilon: Fraction = Fraction(1, 1000)
-
-    def exponent_for(self, g: CycleType) -> Fraction:
-        try:
-            return self.r[g]
-        except KeyError:
-            raise MissingExponentError(
-                f"no exponent supplied for class {g}"
-            ) from None
+def _exponent(r: dict[CycleType, Fraction], g: CycleType) -> Fraction:
+    """``r[g]``, or MissingExponentError naming the class."""
+    try:
+        return r[g]
+    except KeyError:
+        raise MissingExponentError(f"no exponent supplied for class {g}") from None
 
 
 def exponent_presets(d: int, epsilon: Fraction = Fraction(1, 1000)) -> dict[CycleType, Fraction]:
@@ -211,9 +191,10 @@ class BetaResult:
     per_class: tuple[tuple[ProductClass, Fraction], ...] = field(repr=False)
 
 
-def beta(params: TailParams) -> BetaResult:
+def beta(d: int, group: AbelianGroup, r: dict[CycleType, Fraction]) -> BetaResult:
     """Maximum of ``(d/|A|) * theta(class) + r[g]`` over the classes with both
-    components nontrivial.
+    components nontrivial, where ``r`` maps every nontrivial cycle type of S_d
+    to the exponent achieved by the corresponding dyadic-range count.
 
     Classes with trivial abelian part contribute no truncation error (their
     discrepancy is zero), and classes with trivial S_d part have no dyadic
@@ -221,22 +202,19 @@ def beta(params: TailParams) -> BetaResult:
     what makes the result the exact exponent of the tail.
 
     >>> from sdxa.groups import AbelianGroup
-    >>> params = TailParams(3, AbelianGroup.from_label("C2"),
-    ...                     exponent_presets(3, Fraction(1, 100)),
-    ...                     epsilon=Fraction(1, 100))
-    >>> beta(params).value
+    >>> c2 = AbelianGroup.from_label("C2")
+    >>> beta(3, c2, exponent_presets(3, Fraction(1, 100))).value
     Fraction(-49, 100)
     """
-    d, group = params.d, params.group
     order = group.order
     contributions: list[tuple[ProductClass, Fraction]] = []
-    for cls in conjugacy_classes_product(d, group, nontrivial_only=True):
+    for cls in conjugacy_classes_product(d, group):
         if not cls.both_nontrivial:
             continue
-        r_g = params.exponent_for(cls.sd_part)
-        via_theta = Fraction(d, order) * theta(cls, d, group) + r_g
+        r_g = _exponent(r, cls.sd_part)
+        via_theta = Fraction(d, order) * theta(cls) + r_g
         via_delta = (
-            Fraction(delta(d, group, cls.sd_part, cls.a_part), order)
+            Fraction(delta(cls.sd_part, cls.a_part), order)
             - Fraction(d * ind(regular_cycle_type(cls.a_part)), order)
             + r_g
         )
@@ -273,10 +251,7 @@ def hypothesis_b_margin(
     for g in partitions(d):
         if g.is_identity():
             continue
-        try:
-            r_g = r[g]
-        except KeyError:
-            raise MissingExponentError(f"no exponent supplied for class {g}") from None
+        r_g = _exponent(r, g)
         margins[g] = max(
             r_g + ind(g) - Fraction(pair_index(g, regular_cycle_type(h)), order)
             for h in nontrivial_elements

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegreeMismatchError, DomainError
 
@@ -111,10 +111,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        result = 1
-        for cycle in self.cycles():
-            result = result * len(cycle) // gcd(result, len(cycle))
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def power(self, k: int) -> "Permutation":
         """Return the k-th power (k may be negative or zero)."""
@@ -159,16 +156,10 @@ class CycleType:
         return all(p == 1 for p in self.parts)
 
     def order(self) -> int:
-        result = 1
-        for p in self.parts:
-            result = result * p // gcd(result, p)
-        return result
+        return lcm(*self.parts)
 
     def gcd_of_parts(self) -> int:
-        result = 0
-        for p in self.parts:
-            result = gcd(result, p)
-        return result
+        return gcd(*self.parts)
 
     def representative(self) -> Permutation:
         """A canonical permutation with this cycle type (consecutive blocks)."""

@@ -14,6 +14,9 @@ g, a rotation of each, and a translation of A.  Its pattern is a closed
 form in the permutation's cycle type, the rotation sum along each of its
 cycles and the translation's order modulo <h>, so no lift is built and no
 inertia orbit is walked (see :func:`decomposition_patterns`).
+
+A function of one inertia class takes ``(g, h)`` and reads d = ``g.degree``
+and A = ``h.group`` off it; a table, over all classes, takes ``(d, group)``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DegreeMismatchError, DomainError, PatternError
+from .errors import DomainError, PatternError
 from .groups import (
     AbelianElement,
     AbelianGroup,
@@ -80,7 +83,7 @@ class SplittingPattern:
         return format_pattern(self)
 
 
-def parse_pattern(text: str, degree: int | None = None) -> SplittingPattern:
+def parse_pattern(text: str) -> SplittingPattern:
     """Parse a pattern string like ``"(1^2 12)"``.
 
     Grammar: a parenthesized, space-separated list of tokens.  A token
@@ -121,12 +124,7 @@ def parse_pattern(text: str, degree: int | None = None) -> SplittingPattern:
             raise PatternError(f"malformed token {token!r} in {text!r}")
     if not factors:
         raise PatternError(f"empty pattern: {text!r}")
-    pattern = SplittingPattern(tuple(factors))
-    if degree is not None and pattern.degree != degree:
-        raise PatternError(
-            f"pattern {text!r} has degree {pattern.degree}, expected {degree}"
-        )
-    return pattern
+    return SplittingPattern(tuple(factors))
 
 
 def format_pattern(pattern: SplittingPattern) -> str:
@@ -147,24 +145,14 @@ def format_pattern(pattern: SplittingPattern) -> str:
     return "(" + " ".join(tokens) + ")"
 
 
-def _check_pair(g: CycleType, h: AbelianElement, d: int, group: AbelianGroup) -> None:
-    if g.degree != d:
-        raise DegreeMismatchError(f"cycle type degree {g.degree} != d = {d}")
-    if h.group != group:
-        raise DomainError("element does not belong to the given group")
-
-
-def inertia_orbits(
-    g: CycleType, h: AbelianElement, d: int, group: AbelianGroup
-) -> tuple[int, ...]:
+def inertia_orbits(g: CycleType, h: AbelianElement) -> tuple[int, ...]:
     """Multiset (descending) of ramification indices for the pair (g, h):
     the orbit lengths of the product action on d * |A| points.
 
     >>> g3 = AbelianGroup.from_label("C3")
-    >>> inertia_orbits(CycleType((3,)), g3.element((1,)), 3, g3)
+    >>> inertia_orbits(CycleType((3,)), g3.element((1,)))
     (3, 3, 3)
     """
-    _check_pair(g, h, d, group)
     h_reg = regular_cycle_type(h)
     lengths: list[int] = []
     for a in g.parts:
@@ -174,9 +162,7 @@ def inertia_orbits(
 
 
 @lru_cache(maxsize=None)
-def decomposition_patterns(
-    g: CycleType, h: AbelianElement, d: int, group: AbelianGroup
-) -> frozenset[SplittingPattern]:
+def decomposition_patterns(g: CycleType, h: AbelianElement) -> frozenset[SplittingPattern]:
     """Every splitting pattern compatible with inertia class (g, h).
 
     The inertia generator iota acts on the d * |A| points (x, a) as
@@ -226,12 +212,11 @@ def decomposition_patterns(
     S mod gcd(t, o) matters: tau + jh has the same t and S + tj.
 
     >>> c2 = AbelianGroup.from_label("C2")
-    >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)), 3, c2)
+    >>> patterns = decomposition_patterns(CycleType((2, 1)), c2.element((1,)))
     >>> sorted(str(p) for p in patterns)
     ['(1^2 1^2 1^2)', '(2^2 1^2)']
     """
-    _check_pair(g, h, d, group)
-    o, moduli = element_order(h), group.invariant_factors
+    o, moduli = element_order(h), h.group.invariant_factors
     powers = {tuple(j * a % n for a, n in zip(h.residues, moduli)): j for j in range(o)}
     shapes = set()  # (t, S mod gcd(t, o)): t = order of tau in A/<h>, t tau = S h
     for tau in product(*(range(n) for n in moduli)):
@@ -250,7 +235,7 @@ def decomposition_patterns(
                     for ell, R in zip(mu.parts, sums):
                         L = lcm(ell, t)
                         f = L * k // gcd(k, L // ell * R - L // t * S)
-                        factors += [(e, f)] * (ell * k * group.order // (o * f))
+                        factors += [(e, f)] * (ell * k * h.group.order // (o * f))
                     choices.add(tuple(factors))
             blocks.append(choices)
         for choice in product(*blocks):
@@ -258,17 +243,14 @@ def decomposition_patterns(
     return frozenset(patterns)
 
 
-def disc_valuation_pair(
-    g: CycleType, h: AbelianElement, d: int, group: AbelianGroup
-) -> int:
+def disc_valuation_pair(g: CycleType, h: AbelianElement) -> int:
     """Compositum discriminant valuation at a tame prime where the two
     inertia classes are ``g`` and ``h``.
 
     >>> c2 = AbelianGroup.from_label("C2")
-    >>> disc_valuation_pair(CycleType((4,)), c2.element((1,)), 4, c2)
+    >>> disc_valuation_pair(CycleType((4,)), c2.element((1,)))
     6
     """
-    _check_pair(g, h, d, group)
     return pair_index(g, regular_cycle_type(h))
 
 
@@ -336,22 +318,22 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
             "tables require a prime-cyclic group (column conventions depend on it)"
         )
     generator = group.element((1,))
-    trivial = AbelianGroup(())
+    identity = AbelianGroup(()).identity()
     rows: list[TableRow] = []
     for g in sorted(
         (ct for ct in partitions(d) if not ct.is_identity()),
         key=lambda ct: (ind(ct), ct.parts),
     ):
-        f_patterns = sorted(decomposition_patterns(g, trivial.identity(), d, trivial))
-        fk_patterns = sorted(decomposition_patterns(g, generator, d, group))
+        f_patterns = sorted(decomposition_patterns(g, identity))
+        fk_patterns = sorted(decomposition_patterns(g, generator))
         rows.append(
             TableRow(
                 generator=g,
                 f_splitting=tuple(f_patterns),
                 fk_splitting=tuple(fk_patterns),
                 v_disc_f=ind(g),
-                v_disc_fk=disc_valuation_pair(g, generator, d, group),
-                delta=delta(d, group, g, generator),
+                v_disc_fk=disc_valuation_pair(g, generator),
+                delta=delta(g, generator),
             )
         )
     cap = d * ind(regular_cycle_type(generator))

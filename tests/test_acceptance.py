@@ -46,7 +46,6 @@ from sdxa.groups import (
     regular_permutation,
 )
 from sdxa.indexcalc import (
-    TailParams,
     beta,
     delta,
     delta_closed_form,
@@ -131,9 +130,8 @@ def test_criterion_1_golden_valuation_tables():
                 assert row.v_disc_fk == gold.v_disc_fk
                 assert row.delta == gold.delta
                 # Base-field cells are a complete enumeration: exact match.
-                golden_f = {
-                    parse_pattern(cell.text, degree=d) for cell in gold.f_cells
-                }
+                golden_f = {parse_pattern(cell.text) for cell in gold.f_cells}
+                assert all(pattern.degree == d for pattern in golden_f)
                 assert golden_f == set(row.f_splitting), (
                     f"{filename}: base-field cells differ on row {row.generator}"
                 )
@@ -163,8 +161,7 @@ def test_criterion_2_index_oracle_equivalence():
     with criterion(2, "index-oracle-equivalence", budget=30.0):
         combos = 0
         for d in DEGREES:
-            for group in abelian_groups_up_to(8, include_trivial=True):
-                order = group.order
+            for group in [AbelianGroup(()), *abelian_groups_up_to(8)]:
                 for g in partitions(d):
                     for h in group.elements():
                         reg = regular_cycle_type(h)
@@ -177,9 +174,7 @@ def test_criterion_2_index_oracle_equivalence():
                         assert closed == ind(cycle_type(embedded))
                         # Route 2: the one-line gcd formula for the
                         # discrepancy must match the definition.
-                        assert delta(d, group, g, h) == delta_closed_form(
-                            g, reg, d, order
-                        )
+                        assert delta(g, h) == delta_closed_form(g, reg)
                         # Route 3: the splitting-pattern valuation formula,
                         # specialized to residue degree 1 everywhere.
                         assert closed == remark_formula(
@@ -270,7 +265,7 @@ def test_criterion_5_counting_invariants():
                 assert invariants.b == 1
                 # Brute force: the transposition paired with the identity is
                 # the unique class of minimal index, and that index is |A|.
-                classes = conjugacy_classes_product(d, group, nontrivial_only=True)
+                classes = conjugacy_classes_product(d, group)
                 indices = {
                     cls: pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
                     for cls in classes
@@ -307,7 +302,7 @@ def test_criterion_6_exponent_negativity():
         for d in DEGREES:
             presets = exponent_presets(d)
             for group in abelian_groups_up_to(12):
-                result = beta(TailParams(d=d, group=group, r=presets))
+                result = beta(d, group, presets)
                 assert result.value < 0
                 # Same maximum through the per-cycle-type margin route.
                 margins = hypothesis_b_margin(d, group, presets)

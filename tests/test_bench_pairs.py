@@ -1,6 +1,7 @@
 """Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
-BENCH file (per side the median and quartiles, and the pairs the change won)
-and of the bytecode clearing it does before every run."""
+BENCH file (per side the median and quartiles, and the pairs the change won),
+of the per-layer medians over its traced runs, and of the bytecode clearing
+it does before every run."""
 
 from __future__ import annotations
 
@@ -47,6 +48,39 @@ def test_single_pair_gives_degenerate_quartiles():
     assert (entry["better"], entry["bound"], entry["change_wins"]) == (
         "lower", 0.25, 1
     )
+
+
+def test_per_layer_medians_over_the_traced_runs():
+    per_layer = [{"name": "indexcalc.delta.calls"}, {"name": "census.count.self_ms"},
+                 {"name": "splitting.generate_table.self_ms"}]
+
+    def traced(parent: dict, change: dict) -> dict:
+        return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+
+    runs = [
+        traced({"indexcalc.delta.calls": 4, "census.count.self_ms": 6.0,
+                "latency_p50_ms": 1.0},
+               {"indexcalc.delta.calls": 4, "census.count.self_ms": 9.0,
+                "splitting.generate_table.self_ms": 2.0}),
+        traced({"indexcalc.delta.calls": 4, "census.count.self_ms": 8.0,
+                "latency_p50_ms": 3.0},
+               {"indexcalc.delta.calls": 6, "census.count.self_ms": 7.0,
+                "splitting.generate_table.self_ms": 3.0}),
+    ]
+    medians = bench_pairs.per_layer_medians(runs, per_layer)
+    # two runs: the median is their mean; end-to-end metrics are left out, and
+    # so is a metric one side does not report
+    assert medians == {
+        "parent": {"indexcalc.delta.calls": 4, "census.count.self_ms": 7.0},
+        "change": {"indexcalc.delta.calls": 5, "census.count.self_ms": 8.0,
+                   "splitting.generate_table.self_ms": 2.5},
+    }
+    three = runs + [traced({"indexcalc.delta.calls": 10, "census.count.self_ms": 1.0},
+                           {"indexcalc.delta.calls": 0, "census.count.self_ms": 0.5})]
+    assert bench_pairs.per_layer_medians(three, per_layer) == {
+        "parent": {"indexcalc.delta.calls": 4, "census.count.self_ms": 6.0},
+        "change": {"indexcalc.delta.calls": 4, "census.count.self_ms": 7.0},
+    }
 
 
 def test_clear_bytecode_removes_caches_under_src_and_perfbench(tmp_path):

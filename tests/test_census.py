@@ -248,7 +248,11 @@ VALIDATION_CASES = [
     ("a;3;S3;-115;23:w(1),5:t(2.1);", "record 'a': ramified primes must be distinct and sorted"),
     ("a;3;S3;-46;23:w(1);", "record 'a': wild datum at 23, a prime coprime to the closure "
      "modulus 6; expected a tame class"),
-    ("a;2;C2;12;3:t(2),2:w(2);45", "record 'a': 45 is not a fundamental discriminant"),
+    ("a;2;C2;12;3:t(2),2:w(2);45", "record 'a': ramified primes must be distinct and sorted"),
+    # the quadratic subfields are checked only against primes proven prime
+    ("a;2;C2;-255;15:t(2),17:t(2);12", "record 'a': local datum at 15, which is not prime"),
+    ("a;2;C2;-51;6:t(2),17:t(2);12,45", "record 'a': tame datum at 6 but the prime divides "
+     "the closure modulus 2"),
 ]
 
 
@@ -910,7 +914,7 @@ def _oracle_compose(f_record, k_record, overrides=None):
             if f_local.is_tame and k_local.is_tame:
                 n = k_local.tame_class.parts[0]
                 h = next(e for e in group.elements() if element_order(e) == n)
-                delta_p = delta(d, group, f_local.tame_class, h)
+                delta_p = delta(f_local.tame_class, h)
             else:
                 found = overrides.lookup(p, v_f, v_k) if overrides else None
                 if found is not None:
@@ -1381,7 +1385,7 @@ def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
     g = CycleType((2, 1))
     delta.cache_clear()
     for group in (parsed, built):
-        assert delta(3, group, g, _element_of_order(group, 2)) == 2
+        assert delta(g, _element_of_order(group, 2)) == 2
     info = delta.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 

@@ -74,7 +74,6 @@ class TestAbelianGroup:
     def test_up_to_excludes_trivial_by_default(self):
         groups = abelian_groups_up_to(8)
         assert all(not g.is_trivial for g in groups)
-        assert len(abelian_groups_up_to(8, include_trivial=True)) == len(groups) + 1
 
 
 def _oracle_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,7 +230,7 @@ class TestElements:
         # Oracle: the closed form must match the cycle type of the explicit
         # translation permutation, for every element of every group up to
         # order 12.
-        for group in abelian_groups_up_to(12, include_trivial=True):
+        for group in [AbelianGroup(()), *abelian_groups_up_to(12)]:
             for element in group.elements():
                 assert regular_cycle_type(element) == cycle_type(
                     regular_permutation(element)
@@ -269,12 +268,6 @@ class TestProductClasses:
         assert len(conjugacy_classes_product(3, AbelianGroup.from_label("C2"))) == 5
         assert len(conjugacy_classes_product(5, AbelianGroup.from_label("C1"))) == 6
         assert len(conjugacy_classes_product(4, AbelianGroup.from_label("C2xC2"))) == 19
-
-    def test_identity_inclusion_flag(self):
-        group = AbelianGroup.from_label("C3")
-        with_id = conjugacy_classes_product(3, group, nontrivial_only=False)
-        assert len(with_id) == 9
-        assert sum(1 for c in with_id if c.is_trivial) == 1
 
     def test_minimal_index_attained(self):
         for label in ["C2", "C3", "C2xC2", "C6"]:
@@ -398,7 +391,8 @@ class TestCyclotomicClassOrbits:
 
     def test_orbit_sizes_match_element_orbits(self):
         group = AbelianGroup.from_label("C5")
-        classes = conjugacy_classes_product(3, group, nontrivial_only=False)
+        identity = ProductClass(CycleType((1, 1, 1)), group.identity())
+        classes = [identity, *conjugacy_classes_product(3, group)]
         orbits = cyclotomic_class_orbits(group, classes)
         sizes = sorted(len(o) for o in orbits)
         # 3 partitions x orbits {identity}, {4 generators} -> sizes 1,1,1,4,4,4

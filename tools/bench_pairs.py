@@ -16,9 +16,13 @@ number in the output is copied from the run records
 each tree, and each run's end-to-end metrics and failure count.  Per workload
 the output also gives each side's median and quartiles of every end-to-end
 metric named in the change tree's ``BENCHMARK.json``, and the number of pairs
-the change won.  After the pairs, each tree runs every workload once more with
-``--trace 1`` at the first seed; the output keeps each side's per-layer
-metrics and trace self-check from those runs.  Before every run the
+the change won.  After the pairs, each tree runs every workload twice more
+with ``--trace 1``, at the first seed and at the next one, the side that goes
+first alternating between the two; the output keeps both traced records of
+each side, with their per-layer metrics and trace self-check, and each side's
+median over the two of every per-layer metric named in the change tree's
+``BENCHMARK.json``, since one traced run alone swings by up to a third on
+unchanged code.  Before every run the
 ``__pycache__`` directories under the tree's ``src`` and ``perfbench`` are
 removed, so neither side imports bytecode the other compiles afresh.
 """
@@ -94,6 +98,20 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def per_layer_medians(runs: list[dict], per_layer: list[dict]) -> dict:
+    """Each side's median, over the traced runs, of every per-layer metric
+    that all of its runs report."""
+    out = {}
+    for side in SIDES:
+        metrics = [run[side]["metrics"] for run in runs]
+        out[side] = {
+            metric["name"]: statistics.median(m[metric["name"]] for m in metrics)
+            for metric in per_layer
+            if all(metric["name"] in m for m in metrics)
+        }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent")
@@ -110,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         counts[workload] = int(n)
     trees = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        end_to_end = json.load(handle)["end_to_end"]
+        declared = json.load(handle)
+    end_to_end, per_layer = declared["end_to_end"], declared["per_layer"]
 
     runs: dict[str, list[dict]] = {w: [] for w in counts}
     for index in range(max(counts.values())):
@@ -125,11 +144,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", flush=True)
             runs[workload].append(pair)
-    traced = {
-        workload: {side: run_once(trees[side], workload, args.first_seed,
-                                  args.seconds, trace=1) for side in SIDES}
-        for workload in counts
-    }
+    traced: dict[str, list[dict]] = {w: [] for w in counts}
+    for index in range(2):
+        for workload in counts:
+            seed = args.first_seed + index
+            sides = SIDES if index % 2 == 0 else SIDES[::-1]
+            run = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                run[side] = run_once(trees[side], workload, seed, args.seconds, trace=1)
+            traced[workload].append(run)
 
     first = {side: runs[next(iter(runs))][0][side] for side in SIDES}
     result = {
@@ -141,13 +164,14 @@ def main(argv: list[str] | None = None) -> int:
                   "src_sha256": first[side]["src_sha256"]} for side in SIDES},
         "workloads": {
             workload: {"pairs": pairs, "summary": summarise(pairs, end_to_end),
-                       "traced": traced[workload]}
+                       "traced": traced[workload],
+                       "traced_median": per_layer_medians(traced[workload], per_layer)}
             for workload, pairs in runs.items()
         },
     }
     for workload, pairs in runs.items():
         for side in SIDES:
-            records = [p[side] for p in pairs] + [traced[workload][side]]
+            records = [p[side] for p in pairs + traced[workload]]
             shas = {(r["git_sha"], r["src_sha256"]) for r in records}
             if len(shas) != 1 or shas != {tuple(result[side].values())}:
                 raise SystemExit(f"{side} tree changed during the runs: {shas}")
