@@ -74,6 +74,7 @@ class TestAbelianGroup:
     def test_up_to_excludes_trivial_by_default(self):
         groups = abelian_groups_up_to(8)
         assert all(not g.is_trivial for g in groups)
+        assert groups == [g for n in range(2, 9) for g in abelian_groups_of_order(n)]
 
 
 def _oracle_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
