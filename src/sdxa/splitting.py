@@ -32,7 +32,7 @@ from .groups import (
     AbelianElement,
     AbelianGroup,
     element_order,
-    factorize,
+    is_prime,
     regular_cycle_type,
 )
 from .indexcalc import delta
@@ -313,7 +313,7 @@ def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
     if d not in (3, 4, 5):
         raise DomainError("tables are generated for d in {3, 4, 5}")
     factors = group.invariant_factors
-    if len(factors) != 1 or factorize(factors[0]) != {factors[0]: 1}:
+    if len(factors) != 1 or not is_prime(factors[0]):
         raise DomainError(
             "tables require a prime-cyclic group (column conventions depend on it)"
         )

@@ -1211,7 +1211,8 @@ def test_groups_records_and_counts_never_factor(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorize({n}) was called")
 
-    for module in (groups, census, splitting):
+    assert not hasattr(splitting, "factorize")  # its prime check is is_prime
+    for module in (groups, census):
         monkeypatch.setattr(module, "factorize", refuse)
     dataset = ingest(str(FIXTURE))
     p12, p18 = 100000000000031, 1000000000000000003

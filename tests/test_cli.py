@@ -169,9 +169,13 @@ def test_delta_table_is_deterministic(capsys):
 
 
 def test_delta_table_rejects_composite_group(capsys):
-    code, _, err = run(capsys, "delta-table", "--d", "3", "--A", "C4")
-    assert code == 1
-    assert "error:" in err
+    # 1000000016000000063 = 1000000007 * 1000000009 is proven composite by
+    # Miller-Rabin, with no trial division up to 10^9
+    for label in ("C4", "C1000000016000000063"):
+        code, out, err = run(capsys, "delta-table", "--d", "3", "--A", label)
+        assert (code, out) == (1, "")
+        assert err == ("error: tables require a prime-cyclic group (column "
+                       "conventions depend on it)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +599,184 @@ def test_tail_bound_exits_0_or_1_for_every_bounded_input(m, y, beta):
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+# Bounded contract inputs for the other five subcommands: d <= 6, groups of
+# order <= 12 or malformed labels, X <= 10^7, and record, override and spec
+# files that are random bytes, built from the format's fields with arbitrary
+# values, or a valid file with a few short spans replaced.
+DEGREES = st.one_of(st.integers(min_value=3, max_value=5),
+                    st.integers(min_value=-1, max_value=6)).map(str)
+GROUP_LABELS = (st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3)
+                .filter(lambda factors: math.prod(factors) <= 12)
+                .map(lambda factors: "x".join(f"C{n}" for n in factors)))
+LABELS = st.one_of(
+    GROUP_LABELS, GROUP_LABELS,
+    st.sampled_from(["", "C", "C0", "Q8", "C2x", "xC2", "c2", "C-2", "C2xC0",
+                     "C 2", "C2C3", "C\u0663", "C2\n"]),
+    st.text(alphabet="Cxc0- ", max_size=5),
+)
+CUTOFFS = st.integers(min_value=-10, max_value=10**7).map(str)
+FORMATS = st.sampled_from([[], [], ["--format", "plain"], ["--format", "tsv"],
+                           ["--format", "json"]])
+RECORD_LINES = [
+    "#coverage group=S3 maxdisc=2000", "3.-23.1;3;S3;-23;23:t(2.1);",
+    "3.-175.1;3;S3;-175;5:t(3),7:t(2.1);",
+    "3.-204.1;3;S3;-204;2:w(2),3:w(1),17:t(2.1);",
+    "2.-3.1;2;C2;-3;3:t(2);-3", "2.-4.1;2;C2;-4;2:w(2);-4", "2.5.1;2;C2;5;5:t(2);5",
+]
+VALID_FILES = {
+    "dataset": "\n".join(RECORD_LINES) + "\n",
+    "overrides": json.dumps({"overrides": [{"p": 2, "f_val": 2, "k_val": 2,
+                                            "delta": 4}]}),
+    "spec": json.dumps({"bins": [{"classes": ["3", "2.1"], "q": 7,
+                                  "exponent": "-1/2"}]}),
+}
+JSON_VALUES = st.one_of(st.integers(min_value=-3, max_value=12), st.none(),
+                        st.booleans(), st.floats(), st.text(max_size=4),
+                        st.lists(st.integers(min_value=-3, max_value=12), max_size=2))
+INTS = st.integers(min_value=-100, max_value=3000).map(str)
+DATUM = st.builds("{}:{}".format, st.integers(min_value=-1, max_value=60), st.one_of(
+    st.builds("t({})".format, st.lists(st.integers(min_value=0, max_value=4).map(str),
+                                       max_size=4).map(".".join)),
+    st.builds("w({})".format, st.integers(min_value=-1, max_value=9))))
+RECORD = st.builds(
+    ";".join,
+    st.tuples(st.sampled_from(["a", "b", "3.-23.1", ""]),
+              st.integers(min_value=-1, max_value=6).map(str),
+              st.sampled_from(["S3", "S4", "C2", "C3", "C2xC2", "C1", "X"]), INTS,
+              st.lists(DATUM, max_size=3).map(",".join),
+              st.lists(INTS, max_size=2).map(",".join)))
+GENERATED_FILES = {
+    "dataset": st.lists(st.one_of(RECORD, st.sampled_from(RECORD_LINES)), max_size=4)
+    .map(lambda lines: "\n".join(lines) + "\n"),
+    "overrides": st.builds(lambda entries: json.dumps({"overrides": entries}), st.lists(
+        st.fixed_dictionaries({key: JSON_VALUES for key in ("p", "f_val", "k_val",
+                                                            "delta")}), max_size=2)),
+    "spec": st.builds(lambda bins: json.dumps({"bins": bins}), st.lists(
+        st.fixed_dictionaries({
+            "classes": st.one_of(JSON_VALUES, st.lists(st.sampled_from(
+                ["3", "2.1", "1.1.1", "2.2", "4", "0", "3.x", "-3", ""]), max_size=3)),
+            "q": JSON_VALUES,
+            "exponent": st.one_of(JSON_VALUES, st.sampled_from(["-1/2", "1/3", "0"])),
+        }), max_size=3)),
+}
+
+
+@st.composite
+def contract_file(draw, kind: str) -> bytes:
+    """A file of one kind: random bytes, one generated from the format's
+    fields with arbitrary values, or a valid file with up to three short
+    spans replaced."""
+    choice = draw(st.integers(min_value=0, max_value=9))
+    if choice == 0:
+        return draw(st.binary(max_size=12))
+    if choice < 5:
+        return draw(GENERATED_FILES[kind]).encode()
+    text = VALID_FILES[kind]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        stop = draw(st.integers(min_value=start, max_value=min(len(text), start + 4)))
+        patch = draw(st.text(alphabet='0123456789-+;:,./()twxCS#"[]{}e \n',
+                             max_size=4))
+        text = text[:start] + patch + text[stop:]
+    return text.encode()
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def file_option(directory: Path, option: str, content: bytes | None) -> list[str]:
+    """No option (the default) when ``content`` is None, else ``option``
+    naming a file that holds it."""
+    if content is None:
+        return []
+    path = directory / f"{option.strip('-')}.txt"
+    path.write_bytes(content)
+    return [option, str(path)]
+
+
+def assert_contract(argv: list[str]) -> None:
+    """A result (exit 0), one error line (exit 1) or a usage error (exit 2),
+    never an uncaught exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error:"), argv
+        assert err.getvalue().count("error:") == 1, argv
+
+
+CONTRACT = settings(max_examples=40, deadline=None, derandomize=True)
+DATASETS = st.none() | contract_file("dataset")
+OVERRIDES = st.none() | contract_file("overrides")
+
+
+@CONTRACT
+@example(d="3", label="C2", fmt=[])
+@example(d="5", label="C7", fmt=["--format", "tsv"])
+@given(d=DEGREES, label=LABELS, fmt=FORMATS)
+def test_delta_table_exits_0_1_or_2_for_every_bounded_input(d, label, fmt):
+    assert_contract(["delta-table", "--d", d, "--A", label, *fmt])
+
+
+@CONTRACT
+@example(d="4", label="C2xC2")
+@given(d=DEGREES, label=LABELS)
+def test_verify_lemmas_exits_0_1_or_2_for_every_bounded_input(d, label):
+    assert_contract(["verify-lemmas", "--d", d, "--A", label])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(d="3", label="C2", x="1000000", y=["--Y", "100"], fmt=[], dataset=None,
+         overrides=VALID_FILES["overrides"].encode())
+@example(d="3", label="C2", x="100000", y=[], fmt=["--format", "tsv"],
+         dataset=VALID_FILES["dataset"].encode(), overrides=None)
+@given(d=DEGREES, label=LABELS, x=CUTOFFS, fmt=FORMATS,
+       y=st.one_of(st.just([]), CUTOFFS.map(lambda y: ["--Y", y])),
+       dataset=DATASETS, overrides=OVERRIDES)
+def test_census_exits_0_1_or_2_for_every_bounded_input(contract_dir, d, label, x,
+                                                      fmt, y, dataset, overrides):
+    assert_contract(["census", "--d", d, "--A", label, "--X", x, *y, *fmt,
+                     *file_option(contract_dir, "--dataset", dataset),
+                     *file_option(contract_dir, "--wild-overrides", overrides)])
+
+
+@CONTRACT
+@example(labels=["3.-204.1", "2.-4.1"], fmt=[], dataset=None,
+         overrides=VALID_FILES["overrides"].encode())
+@example(labels=["3.-23.1", "2.-3.1"], fmt=["--format", "tsv"],
+         dataset=VALID_FILES["dataset"].encode(), overrides=None)
+@given(fmt=FORMATS, dataset=DATASETS, overrides=OVERRIDES,
+       labels=st.lists(st.sampled_from(["3.-23.1", "3.-204.1", "2.-4.1", "2.5.1",
+                                        "2.-3.1", "", "nope", "3.-23"]),
+                       min_size=2, max_size=2))
+def test_compose_exits_0_1_or_2_for_every_bounded_input(contract_dir, labels, fmt,
+                                                       dataset, overrides):
+    assert_contract(["compose", "--F", labels[0], "--K", labels[1], *fmt,
+                     *file_option(contract_dir, "--dataset", dataset),
+                     *file_option(contract_dir, "--wild-overrides", overrides)])
+
+
+@CONTRACT
+@example(d="3", xs=["500", "2000"], fmt=[], spec=VALID_FILES["spec"].encode(), dataset=None)
+@example(d="3", xs=["100"], fmt=["--format", "tsv"], spec=VALID_FILES["spec"].encode(),
+         dataset=VALID_FILES["dataset"].encode())
+@given(d=DEGREES, fmt=FORMATS, xs=st.lists(CUTOFFS, min_size=1, max_size=3),
+       spec=contract_file("spec"), dataset=DATASETS)
+def test_uniformity_exits_0_1_or_2_for_every_bounded_input(contract_dir, d, xs, fmt,
+                                                          spec, dataset):
+    assert_contract(["uniformity", "--d", d,
+                     *file_option(contract_dir, "--uniformity-spec", spec), *fmt,
+                     *(arg for x in xs for arg in ("--X", x)),
+                     *file_option(contract_dir, "--dataset", dataset)])
 
 
 # ---------------------------------------------------------------------------
