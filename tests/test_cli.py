@@ -207,6 +207,37 @@ def test_verify_lemmas_reports_equality_classes(capsys):
     assert "equality classes: ((3), (1)), ((3), (2))" in out
 
 
+# The classes of S3 x C2 with nontrivial abelian part and all its nontrivial
+# classes, each in enumeration order.
+C2_CLASSES = ["((3), (1))", "((2,1), (1))", "((1,1,1), (1))"]
+C2_ALL_CLASSES = ["((3), (0))", "((3), (1))", "((2,1), (0))", "((2,1), (1))",
+                  "((1,1,1), (1))"]
+
+
+@pytest.mark.parametrize("label,patches,expected", [
+    ("C2", {"theta": lambda *cls: Fraction(1)},
+     [f"theta positive on {c}" for c in C2_ALL_CLASSES]),
+    # lhs > rhs is also a deficit below one unit
+    ("C2", {"index_compare": lambda g, h: indexcalc.IndexComparison(2, 1, False, False)},
+     [line for c in C2_CLASSES
+      for line in (f"lower bound fails on {c}", f"sub-unit deficit on {c}")]),
+    ("C2", {"index_compare": lambda g, h: indexcalc.IndexComparison(1, 2, False, True)},
+     [f"equality/divisibility mismatch on {c}" for c in C2_CLASSES]),
+    ("C2", {"index_compare": lambda g, h: indexcalc.IndexComparison(1, 1, False, False)},
+     [f"sub-unit deficit on {c}" for c in C2_CLASSES]),
+    # S3 x C3 has two equality classes, which an empty catalogue misses
+    ("C3", {"equality_cases": lambda d, group: []},
+     ["equality catalogue disagrees with direct scan"]),
+], ids=["theta", "lower-bound", "mismatch", "deficit", "catalogue"])
+def test_verify_lemmas_failure_lines(capsys, monkeypatch, label, patches, expected):
+    for name, stub in patches.items():
+        monkeypatch.setattr(cli, name, stub)
+    code, out, err = run(capsys, "verify-lemmas", "--d", "3", "--A", label)
+    assert code == 1
+    assert err.splitlines() == [f"FAIL: {line}" for line in expected]
+    assert "all verified" not in out
+
+
 # ---------------------------------------------------------------------------
 # tail-bound
 # ---------------------------------------------------------------------------
