@@ -27,9 +27,9 @@ from sdxa.perms import pair_index
 # in the natural degree-6 action:
 # ---------------------------------------------------------------------------
 group = AbelianGroup.from_label("C2")
-for cls in conjugacy_classes_product(3, group):
-    index = pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
-    print(f"class {str(cls):16s} index = {index}")
+for g, h in conjugacy_classes_product(3, group):
+    index = pair_index(g, regular_cycle_type(h))
+    print(f"class {f'({g}, {h})':16s} index = {index}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -41,11 +41,12 @@ print(f"a = {invariants.a}, exponent = {invariants.exponent}, b = {invariants.b}
 
 classes = conjugacy_classes_product(3, group)
 minimal = [
-    c for c in classes
-    if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == invariants.a
+    (g, h) for g, h in classes
+    if pair_index(g, regular_cycle_type(h)) == invariants.a
 ]
 orbits = cyclotomic_class_orbits(group, minimal)
-print(f"minimal classes: {[str(c) for c in minimal]}, power-map orbits: {len(orbits)}")
+print(f"minimal classes: {[f'({g}, {h})' for g, h in minimal]}, "
+      f"power-map orbits: {len(orbits)}")
 print()
 
 # ---------------------------------------------------------------------------

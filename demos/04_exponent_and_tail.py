@@ -31,7 +31,7 @@ from sdxa.perms import CycleType
 for d, label in ((3, "C3"), (4, "C2"), (5, "C5")):
     group = AbelianGroup.from_label(label)
     cases = equality_cases(d, group)
-    print(f"d = {d}, A = {label}: equality classes {[str(c) for c in cases]}")
+    print(f"d = {d}, A = {label}: equality classes {[f'({g}, {h})' for g, h in cases]}")
 cmp = index_compare(CycleType((2, 1)), AbelianGroup.from_label("C2").element((1,)))
 print(f"strict example: lhs {cmp.lhs} < rhs {cmp.rhs} (deficit {cmp.rhs - cmp.lhs})")
 print()
@@ -45,9 +45,9 @@ d = 3
 group = AbelianGroup.from_label("C2")
 presets = exponent_presets(d)
 result = beta(d, group, presets)
-print(f"beta = {result.value}, attained on {[str(c) for c in result.attained]}")
-for cls, value in result.per_class:
-    print(f"  class {str(cls):14s} theta = {str(theta(cls)):>6s}"
+print(f"beta = {result.value}, attained on {[f'({g}, {h})' for g, h in result.attained]}")
+for (g, h), value in result.per_class:
+    print(f"  class {f'({g}, {h})':14s} theta = {str(theta(g, h)):>6s}"
           f"  contribution = {value}")
 margins = hypothesis_b_margin(d, group, presets)
 print(f"margins by cycle type: {[f'{g}: {m}' for g, m in margins.items()]}")

@@ -28,7 +28,7 @@ from .errors import (
     RecordParseError,
     RecordValidationError,
 )
-from .groups import AbelianElement, AbelianGroup, factorize, is_prime
+from .groups import AbelianGroup, factorize, is_prime
 from .indexcalc import delta
 from .perms import CycleType, ind
 
@@ -499,19 +499,6 @@ class ComposeResult(_ComposeFields):
         return tuple(entries)
 
 
-def _element_of_order(group: AbelianGroup, order: int) -> AbelianElement:
-    """The element of order ``order`` with residue exp(A)/order in the last
-    invariant factor and d_i, which reduces to 0, in each earlier factor d_i;
-    built once per group instance, which a load's records share."""
-    memo = group.elements_by_order
-    if order not in memo:
-        if group.exponent % order:
-            raise DomainError(f"group {group.label()} has no element of order {order}")
-        factors = group.invariant_factors
-        memo[order] = group.element(factors[:-1] + (group.exponent // order,) if factors else ())
-    return memo[order]
-
-
 def compose_disc(
     f_record: FieldRecord,
     k_record: FieldRecord,
@@ -552,7 +539,7 @@ def compose_disc(
         v_f, v_k = f_datum.valuation, k_datum.valuation
         delta_p: int | None
         if f_datum.tame_class is not None and k_datum.tame_class is not None:
-            h = _element_of_order(group, k_datum.tame_class.parts[0])
+            h = group.element_of_order(k_datum.tame_class.parts[0])
             delta_p = delta(f_datum.tame_class, h)
         else:
             delta_p = overrides.lookup(p, v_f, v_k) if overrides else None
@@ -809,8 +796,10 @@ def measure_uniformity(
     bin, a squarefree product of that bin's designated tame primes inside the
     bin's dyadic range.  When every bin carries an exponent the ratio against
     x * prod(q^exponent) is reported alongside.  An x below 1, or a
-    comparator outside the float range, raises DomainError.
+    comparator outside the float range, raises DomainError, as does d < 3.
     """
+    if d < 3:
+        raise DomainError("the product model requires d >= 3")
     seen: set[CycleType] = set()
     for item in bins:
         if item.classes & seen:

@@ -149,22 +149,22 @@ def cmd_verify_lemmas(args) -> int:
     checked = 0
     failures: list[str] = []
     equalities: list[str] = []
-    for cls in conjugacy_classes_product(args.d, group):
-        if theta(cls) > 0:
-            failures.append(f"theta positive on {cls}")
-        if cls.a_part.is_identity:
+    for g, h in conjugacy_classes_product(args.d, group):
+        if theta(g, h) > 0:
+            failures.append(f"theta positive on ({g}, {h})")
+        if h.is_identity:
             continue
-        comparison = index_compare(cls.sd_part, cls.a_part)
+        comparison = index_compare(g, h)
         checked += 1
         if comparison.lhs > comparison.rhs:
-            failures.append(f"lower bound fails on {cls}")
+            failures.append(f"lower bound fails on ({g}, {h})")
         if comparison.equality != comparison.divisibility_criterion:
-            failures.append(f"equality/divisibility mismatch on {cls}")
+            failures.append(f"equality/divisibility mismatch on ({g}, {h})")
         if not comparison.equality and comparison.rhs - comparison.lhs < 1:
-            failures.append(f"sub-unit deficit on {cls}")
+            failures.append(f"sub-unit deficit on ({g}, {h})")
         if comparison.equality:
-            equalities.append(str(cls))
-    catalogue = {str(cls) for cls in equality_cases(args.d, group)}
+            equalities.append(f"({g}, {h})")
+    catalogue = {f"({g}, {h})" for g, h in equality_cases(args.d, group)}
     if set(equalities) != catalogue:
         failures.append("equality catalogue disagrees with direct scan")
     lines = [
@@ -188,7 +188,8 @@ def cmd_tail_bound(args) -> int:
         presets = exponent_presets(args.d, args.epsilon)
         result = beta(args.d, group, presets)
         beta_value, origin = result.value, "preset"
-        attained.append("attained on: " + ", ".join(map(str, result.attained)))
+        attained.append("attained on: "
+                        + ", ".join(f"({g}, {h})" for g, h in result.attained))
     else:
         beta_value, origin = args.beta, "explicit"
     rows = [["y", "r_start", "terms", "value", "comparator", "ratio"]]
@@ -287,12 +288,12 @@ def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
 def cmd_uniformity(args) -> int:
     dataset = ingest(args.dataset)
     bins = _parse_uniformity_spec(args.uniformity_spec)
-    for warning in missing_coverage(dataset, f"S{args.d}"):
-        print(f"warning: {warning}", file=sys.stderr)
     rows = [["x", "count", "ratio"]] + [
         [row.x, row.count, "" if row.ratio is None else f"{row.ratio:.6g}"]
         for row in measure_uniformity(dataset, args.d, bins, args.X)
     ]
+    for warning in missing_coverage(dataset, f"S{args.d}"):
+        print(f"warning: {warning}", file=sys.stderr)
     described = "; ".join(
         "{" + ", ".join(sorted(str(ct) for ct in b.classes)) + "}"
         f" q={b.q}" + (f" exponent={b.exponent}" if b.exponent is not None else "")

@@ -24,6 +24,7 @@ from .errors import DegreeMismatchError, DomainError
 from .perms import CycleType, Permutation, partitions
 
 _LABEL_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
+ClassPair = tuple[CycleType, "AbelianElement"]  # a conjugacy class (g, h) of S_d x A
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -103,6 +104,7 @@ class AbelianGroup:
     def __post_init__(self) -> None:
         normalized = _normalize_invariant_factors(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", normalized)
+        object.__setattr__(self, "_elements_by_order", {})  # element_of_order's memo
 
     @staticmethod
     def from_label(label: str) -> "AbelianGroup":
@@ -118,11 +120,6 @@ class AbelianGroup:
     @cached_property
     def order(self) -> int:
         return prod(self.invariant_factors)
-
-    @cached_property
-    def elements_by_order(self) -> dict[int, "AbelianElement"]:
-        """A memo for one element of each order, kept on this instance only."""
-        return {}
 
     @property
     def exponent(self) -> int:
@@ -142,6 +139,19 @@ class AbelianGroup:
 
     def element(self, residues: tuple[int, ...]) -> "AbelianElement":
         return AbelianElement(self, residues)
+
+    def element_of_order(self, order: int) -> "AbelianElement":
+        """The element of order ``order`` with residue exp(A)/order in the last
+        invariant factor and d_i, which reduces to 0, in each earlier factor
+        d_i; built once per group instance, which a census load's records share."""
+        memo = self._elements_by_order
+        if order not in memo:
+            if self.exponent % order:
+                raise DomainError(f"group {self.label()} has no element of order {order}")
+            factors = self.invariant_factors
+            residues = factors[:-1] + (self.exponent // order,) if factors else ()
+            memo[order] = self.element(residues)
+        return memo[order]
 
     def elements(self) -> list["AbelianElement"]:
         """All elements, in lexicographic residue order (identity first)."""
@@ -280,33 +290,11 @@ def abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
     return out
 
 
-@dataclass(frozen=True)
-class ProductClass:
-    """A conjugacy class of the product of S_d with an abelian group.
-
-    Conjugation is trivial on the abelian factor, so a class is exactly a
-    (cycle type, element) pair.
-    """
-
-    sd_part: CycleType
-    a_part: AbelianElement
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.sd_part.is_identity() and self.a_part.is_identity
-
-    @property
-    def both_nontrivial(self) -> bool:
-        return not self.sd_part.is_identity() and not self.a_part.is_identity
-
-    def __str__(self) -> str:
-        return f"({self.sd_part}, {self.a_part})"
-
-
-def conjugacy_classes_product(d: int, group: AbelianGroup) -> list[ProductClass]:
+def conjugacy_classes_product(d: int, group: AbelianGroup) -> list[ClassPair]:
     """All nontrivial conjugacy classes of the product group, in a
     deterministic order (partitions in descending lexicographic order,
-    elements in residue order).
+    elements in residue order).  Conjugation is trivial on the abelian
+    factor, so a class is exactly a (cycle type, element) pair ``(g, h)``.
 
     >>> g = AbelianGroup.from_label("C2")
     >>> len(conjugacy_classes_product(3, g))
@@ -314,17 +302,18 @@ def conjugacy_classes_product(d: int, group: AbelianGroup) -> list[ProductClass]
     """
     if d < 1:
         raise DomainError("d must be >= 1")
-    classes = [
-        ProductClass(ct, a)
-        for ct in partitions(d)
-        for a in group.elements()
+    elements = group.elements()
+    return [
+        (g, h)
+        for g in partitions(d)
+        for h in elements
+        if not (g.is_identity() and h.is_identity)
     ]
-    return [c for c in classes if not c.is_trivial]
 
 
 def cyclotomic_class_orbits(
-    group: AbelianGroup, classes: list[ProductClass]
-) -> list[tuple[ProductClass, ...]]:
+    group: AbelianGroup, classes: list[ClassPair]
+) -> list[tuple[ClassPair, ...]]:
     """Orbits of the cyclotomic power action ``(g, a) -> (g^k, k*a)`` over all
     k coprime to the product group's exponent, each orbit sorted, orbits
     sorted by their smallest member.
@@ -334,18 +323,18 @@ def cyclotomic_class_orbits(
     The units mod the exponent reduce onto the units mod exp(A), so the orbit
     of (g, a) is {g} x (the :func:`galois_orbits` orbit of a), for every d.
     """
-    orbit_of = {a.residues: orbit for orbit in galois_orbits(group) for a in orbit}
-    index = {(c.sd_part.parts, c.a_part.residues): c for c in classes}
-    orbits: dict[tuple, tuple[ProductClass, ...]] = {}
-    for parts, residues in sorted(index):
-        keys = tuple((parts, a.residues) for a in orbit_of[residues])
-        if any(key not in index for key in keys):
+    orbit_of = {a: orbit for orbit in galois_orbits(group) for a in orbit}
+    present = set(classes)
+    orbits: dict[tuple[ClassPair, ...], None] = {}
+    for g, h in sorted(present, key=lambda c: (c[0].parts, c[1].residues)):
+        orbit = tuple((g, a) for a in orbit_of[h])
+        if not present.issuperset(orbit):
             # Power maps permute the full class list; a miss can only
             # happen if the caller passed a strict subset that is not
             # power-closed.
             raise DomainError("class list is not closed under power maps")
-        orbits.setdefault(keys, tuple(index[key] for key in keys))
-    return list(orbits.values())
+        orbits[orbit] = None
+    return list(orbits)
 
 
 @dataclass(frozen=True)

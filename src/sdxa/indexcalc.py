@@ -28,7 +28,7 @@ from .errors import (
 from .groups import (
     AbelianElement,
     AbelianGroup,
-    ProductClass,
+    ClassPair,
     conjugacy_classes_product,
     element_order,
     regular_cycle_type,
@@ -110,7 +110,7 @@ def index_compare(g: CycleType, h: AbelianElement) -> IndexComparison:
     )
 
 
-def equality_cases(d: int, group: AbelianGroup) -> list[ProductClass]:
+def equality_cases(d: int, group: AbelianGroup) -> list[ClassPair]:
     """All classes (g, h) with h nontrivial where the index inequality is an
     equality, found by direct comparison (not by the divisibility shortcut).
 
@@ -118,26 +118,22 @@ def equality_cases(d: int, group: AbelianGroup) -> list[ProductClass]:
     >>> equality_cases(3, AbelianGroup.from_label("C2"))
     []
     """
-    out: list[ProductClass] = []
-    for cls in conjugacy_classes_product(d, group):
-        if cls.a_part.is_identity:
-            continue
-        if index_compare(cls.sd_part, cls.a_part).equality:
-            out.append(cls)
-    return out
+    return [
+        (g, h)
+        for g, h in conjugacy_classes_product(d, group)
+        if not h.is_identity and index_compare(g, h).equality
+    ]
 
 
-def theta(cls: ProductClass) -> Fraction:
-    """Normalized per-class exponent contribution:
+def theta(g: CycleType, h: AbelianElement) -> Fraction:
+    """Normalized per-class exponent contribution of the class (g, h):
 
-        delta(class) / d  -  ind(regular type of the abelian part)
+        delta(g, h) / d  -  ind(h_reg)
 
     Always <= 0, with 0 exactly on equality cases and on classes with trivial
     abelian part.
     """
-    return Fraction(delta(cls.sd_part, cls.a_part), cls.sd_part.degree) - ind(
-        regular_cycle_type(cls.a_part)
-    )
+    return Fraction(delta(g, h), g.degree) - ind(regular_cycle_type(h))
 
 
 def _exponent(r: dict[CycleType, Fraction], g: CycleType) -> Fraction:
@@ -187,8 +183,8 @@ class BetaResult:
     """
 
     value: Fraction
-    attained: tuple[ProductClass, ...]
-    per_class: tuple[tuple[ProductClass, Fraction], ...] = field(repr=False)
+    attained: tuple[ClassPair, ...]
+    per_class: tuple[tuple[ClassPair, Fraction], ...] = field(repr=False)
 
 
 def beta(d: int, group: AbelianGroup, r: dict[CycleType, Fraction]) -> BetaResult:
@@ -207,29 +203,29 @@ def beta(d: int, group: AbelianGroup, r: dict[CycleType, Fraction]) -> BetaResul
     Fraction(-49, 100)
     """
     order = group.order
-    contributions: list[tuple[ProductClass, Fraction]] = []
-    for cls in conjugacy_classes_product(d, group):
-        if not cls.both_nontrivial:
+    contributions: list[tuple[ClassPair, Fraction]] = []
+    for g, h in conjugacy_classes_product(d, group):
+        if g.is_identity() or h.is_identity:
             continue
-        r_g = _exponent(r, cls.sd_part)
-        via_theta = Fraction(d, order) * theta(cls) + r_g
+        r_g = _exponent(r, g)
+        via_theta = Fraction(d, order) * theta(g, h) + r_g
         via_delta = (
-            Fraction(delta(cls.sd_part, cls.a_part), order)
-            - Fraction(d * ind(regular_cycle_type(cls.a_part)), order)
+            Fraction(delta(g, h), order)
+            - Fraction(d * ind(regular_cycle_type(h)), order)
             + r_g
         )
         if via_theta != via_delta:
             raise AssertionError(
-                f"internal identity violated at class {cls}: "
+                f"internal identity violated at class ({g}, {h}): "
                 f"{via_theta} != {via_delta}"
             )
-        contributions.append((cls, via_theta))
+        contributions.append(((g, h), via_theta))
     if not contributions:
         raise DomainError(
             "no classes with both components nontrivial (is the group trivial?)"
         )
     best = max(value for _, value in contributions)
-    attained = tuple(cls for cls, value in contributions if value == best)
+    attained = tuple(pair for pair, value in contributions if value == best)
     return BetaResult(value=best, attained=attained, per_class=tuple(contributions))
 
 

@@ -35,7 +35,6 @@ from sdxa.census import (
 from sdxa.cli import bundled_fixture_path
 from sdxa.groups import (
     AbelianGroup,
-    ProductClass,
     abelian_counting_constants,
     abelian_groups_up_to,
     conjugacy_classes_product,
@@ -231,8 +230,8 @@ def test_criterion_4_equality_catalogue():
                 # expected set below is built from the divisibility predicate
                 # alone (criterion 3 established the two agree pointwise).
                 actual = {
-                    (cls.sd_part.parts, cls.a_part.residues)
-                    for cls in equality_cases(d, group)
+                    (g.parts, h.residues)
+                    for g, h in equality_cases(d, group)
                 }
                 expected = {
                     (g.parts, h.residues)
@@ -267,12 +266,12 @@ def test_criterion_5_counting_invariants():
                 # the unique class of minimal index, and that index is |A|.
                 classes = conjugacy_classes_product(d, group)
                 indices = {
-                    cls: pair_index(cls.sd_part, regular_cycle_type(cls.a_part))
-                    for cls in classes
+                    (g, h): pair_index(g, regular_cycle_type(h))
+                    for g, h in classes
                 }
                 assert min(indices.values()) == order
                 minimal = [cls for cls, value in indices.items() if value == order]
-                assert minimal == [ProductClass(transposition, group.identity())]
+                assert minimal == [(transposition, group.identity())]
         for group in abelian_groups_up_to(64):
             order = group.order
             p = _smallest_prime_factor(order)
@@ -311,8 +310,8 @@ def test_criterion_6_exponent_negativity():
                 for g, margin in margins.items():
                     grouped = [
                         value
-                        for cls, value in result.per_class
-                        if cls.sd_part == g
+                        for (class_g, _), value in result.per_class
+                        if class_g == g
                     ]
                     assert margin == max(grouped)
                 assert set(result.attained) == {

@@ -771,6 +771,13 @@ def test_uniformity_rejects_wrong_degree_class():
         )
 
 
+@pytest.mark.parametrize("d", [-1, 0, 2])
+def test_uniformity_rejects_a_degree_below_3(d):
+    # as the census does, even with no bin whose classes could disagree with d
+    with pytest.raises(DomainError, match=r"^the product model requires d >= 3$"):
+        measure_uniformity(uniformity_dataset(), d, [], [100])
+
+
 def test_uniformity_bin_validation():
     with pytest.raises(DomainError):
         UniformityBin(classes=frozenset(), q=1)
@@ -1190,9 +1197,9 @@ def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
     group_2 = second.by_group("C2")[0].abelian_group
     assert built == [group_1, group_2] and group_1 is not group_2
     assert built[0] is group_1 and built[1] is group_2
-    assert group_1.elements_by_order is not group_2.elements_by_order
-    assert group_1.elements_by_order[2] is not group_2.elements_by_order[2]
-    assert group_1.elements_by_order[2] == group_2.elements_by_order[2]
+    assert group_1._elements_by_order is not group_2._elements_by_order
+    assert group_1.element_of_order(2) is not group_2.element_of_order(2)
+    assert group_1.element_of_order(2) == group_2.element_of_order(2)
     assert results[:2] == results[2:4] == results[4:]
 
 
@@ -1379,14 +1386,12 @@ def test_fast_built_compose_result_equals_the_public_constructor(bundled):
 def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
     # the records of one load share their group, so the second, equal group
     # is built by hand: delta's cache is keyed by value, not identity
-    from sdxa.census import _element_of_order
-
     parsed, built = bundled.by_group("C2")[0].abelian_group, AbelianGroup((2,))
     assert parsed == built and parsed is not built
     g = CycleType((2, 1))
     delta.cache_clear()
     for group in (parsed, built):
-        assert delta(g, _element_of_order(group, 2)) == 2
+        assert delta(g, group.element_of_order(2)) == 2
     info = delta.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 

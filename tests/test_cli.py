@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdxa import cli, groups, indexcalc
+from sdxa import census, cli, groups, indexcalc, perms, splitting
 from sdxa.census import ingest
 from sdxa.groups import AbelianGroup
 from sdxa.splitting import generate_table
@@ -524,6 +525,20 @@ def test_uniformity_warns_when_no_coverage_header_names_the_group(capsys,
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("bins", [[], [{"classes": ["3"], "q": 1}]],
+                         ids=["no-bins", "one-bin"])
+@pytest.mark.parametrize("d", ["-1", "0", "2"])
+def test_uniformity_rejects_a_degree_below_3_with_one_error(capsys, tmp_path, d,
+                                                            bins):
+    # the error comes alone: no coverage warning for a measurement never made
+    spec = tmp_path / "bins.json"
+    spec.write_text(json.dumps({"bins": bins}))
+    code, out, err = run(capsys, "uniformity", "--d", d,
+                         "--uniformity-spec", str(spec), "--X", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: the product model requires d >= 3\n"
+
+
 def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
     spec = tmp_path / "bins.json"
     spec.write_text(json.dumps({
@@ -891,6 +906,28 @@ def test_exact_layout(capsys, tmp_path, argv, expected):
     code, out, err = run(capsys, *argv.replace("{spec}", str(spec)).split())
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def test_readme_class_function_signatures_are_the_functions_own():
+    # The README lists the functions of one class, which take (g, h), and the
+    # functions over all classes, which take (d, group[, r]).  Every
+    # `name(params)` written there takes exactly those parameters.
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if p.startswith("A function of one class of"))
+    one_class, all_classes = paragraph.split("A function over all classes")
+    modules = [vars(m) for m in (perms, groups, indexcalc, splitting, census)]
+    forms = ((one_class, {("g", "h")}),
+             (all_classes, {("d", "group"), ("d", "group", "r")}))
+    names = []
+    for text, allowed in forms:
+        for name, params in re.findall(r"`(\w+)\(([^`]*)\)`", text):
+            written = tuple(param.strip() for param in params.split(","))
+            assert written in allowed, f"{name}{written}"
+            function = next(module[name] for module in modules if name in module)
+            assert tuple(inspect.signature(function).parameters) == written, name
+            names.append(name)
+    assert {"delta", "theta", "beta", "generate_table"} <= set(names)
+    assert len(names) == len(set(names)) >= 12
 
 
 # ---------------------------------------------------------------------------

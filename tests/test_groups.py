@@ -18,7 +18,6 @@ from sdxa.errors import DomainError
 from sdxa.groups import (
     AbelianGroup,
     MalleInvariants,
-    ProductClass,
     _normalize_invariant_factors,
     abelian_counting_constants,
     abelian_groups_of_order,
@@ -264,7 +263,7 @@ class TestGaloisOrbits:
             assert len(orders) == 1
 
 
-class TestProductClasses:
+class TestConjugacyClassesProduct:
     def test_class_counts(self):
         assert len(conjugacy_classes_product(3, AbelianGroup.from_label("C2"))) == 5
         assert len(conjugacy_classes_product(5, AbelianGroup.from_label("C1"))) == 6
@@ -276,8 +275,8 @@ class TestProductClasses:
             for d in (3, 4, 5):
                 inv = malle_invariants_product(d, group)
                 indices = [
-                    pair_index(c.sd_part, regular_cycle_type(c.a_part))
-                    for c in conjugacy_classes_product(d, group)
+                    pair_index(g, regular_cycle_type(h))
+                    for g, h in conjugacy_classes_product(d, group)
                 ]
                 assert min(indices) == inv.a
                 assert inv.a in indices
@@ -318,11 +317,11 @@ class TestMalleInvariants:
                 assert inv.b == 1
                 transposition = CycleType((2,) + (1,) * (d - 2))
                 minimal = [
-                    c
-                    for c in conjugacy_classes_product(d, group)
-                    if pair_index(c.sd_part, regular_cycle_type(c.a_part)) == inv.a
+                    (g, h)
+                    for g, h in conjugacy_classes_product(d, group)
+                    if pair_index(g, regular_cycle_type(h)) == inv.a
                 ]
-                assert minimal == [ProductClass(transposition, group.identity())]
+                assert minimal == [(transposition, group.identity())]
 
 
 class TestAbelianCountingConstants:
@@ -387,12 +386,12 @@ class TestCyclotomicClassOrbits:
         # The abelian coordinates inside one orbit all share an order, and the
         # cycle types never move.
         for orbit in orbits:
-            assert len({c.sd_part for c in orbit}) == 1
-            assert len({element_order(c.a_part) for c in orbit}) == 1
+            assert len({g for g, _ in orbit}) == 1
+            assert len({element_order(h) for _, h in orbit}) == 1
 
     def test_orbit_sizes_match_element_orbits(self):
         group = AbelianGroup.from_label("C5")
-        identity = ProductClass(CycleType((1, 1, 1)), group.identity())
+        identity = (CycleType((1, 1, 1)), group.identity())
         classes = [identity, *conjugacy_classes_product(3, group)]
         orbits = cyclotomic_class_orbits(group, classes)
         sizes = sorted(len(o) for o in orbits)
@@ -401,6 +400,6 @@ class TestCyclotomicClassOrbits:
 
     def test_rejects_a_subset_not_closed_under_power_maps(self):
         group = AbelianGroup.from_label("C5")
-        classes = [ProductClass(CycleType((2, 1)), group.element((1,)))]
+        classes = [(CycleType((2, 1)), group.element((1,)))]
         with pytest.raises(DomainError, match="not closed under power maps"):
             cyclotomic_class_orbits(group, classes)

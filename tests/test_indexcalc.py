@@ -21,7 +21,6 @@ from sdxa.errors import (
 )
 from sdxa.groups import (
     AbelianGroup,
-    ProductClass,
     abelian_groups_up_to,
     conjugacy_classes_product,
     element_order,
@@ -121,8 +120,6 @@ class TestDelta:
                         )
 
     def test_element_of_order_is_stable_under_the_memo(self):
-        from sdxa.census import _element_of_order
-
         # the closed form picks the element the walk over group.elements()
         # picked: the first of that order in residue order
         for label in self.MEMO_GROUPS + ["C1", "C2xC6"]:
@@ -130,19 +127,19 @@ class TestDelta:
             orders = {element_order(h) for h in group.elements()}
             for order in range(1, group.order + 1):
                 if order in orders:
-                    h = _element_of_order(group, order)
+                    h = group.element_of_order(order)
                     assert h.group == group and element_order(h) == order
                     assert h == next(
                         e for e in group.elements() if element_order(e) == order
                     )
                     # a repeat call hands back the memoised object itself
-                    assert _element_of_order(group, order) is h
-                    assert group.elements_by_order[order] is h
+                    assert group.element_of_order(order) is h
+                    assert group._elements_by_order[order] is h
                 else:
                     for _ in range(2):
                         with pytest.raises(DomainError):
-                            _element_of_order(group, order)
-                    assert order not in group.elements_by_order
+                            group.element_of_order(order)
+                    assert order not in group._elements_by_order
 
     def test_delta_bounds_and_attainment(self):
         # 0 <= delta <= d * ind(h_reg); the upper bound is attained exactly on
@@ -150,8 +147,8 @@ class TestDelta:
         for group in abelian_groups_up_to(8):
             for d in (3, 4, 5):
                 equalities = {
-                    (c.sd_part.parts, c.a_part.residues)
-                    for c in equality_cases(d, group)
+                    (g.parts, h.residues)
+                    for g, h in equality_cases(d, group)
                 }
                 for g in partitions(d):
                     for h in group.elements():
@@ -212,8 +209,8 @@ class TestEqualityCases:
     def test_quartic_with_involution(self):
         g2 = AbelianGroup.from_label("C2")
         cases = equality_cases(4, g2)
-        assert {c.sd_part.parts for c in cases} == {(2, 2), (4,)}
-        assert all(c.a_part.residues == (1,) for c in cases)
+        assert {g.parts for g, _ in cases} == {(2, 2), (4,)}
+        assert all(h.residues == (1,) for _, h in cases)
 
     def test_quintic_with_c6_is_empty(self):
         assert equality_cases(5, AbelianGroup.from_label("C6")) == []
@@ -239,32 +236,27 @@ class TestEqualityCases:
                                 continue
                             if gcd_parts % element_order(h) == 0:
                                 expected.add((parts, h.residues))
-                assert {
-                    (c.sd_part.parts, c.a_part.residues) for c in cases
-                } == expected
+                assert {(g.parts, h.residues) for g, h in cases} == expected
 
 
 class TestTheta:
     def test_trivial_abelian_part(self):
         g2 = AbelianGroup.from_label("C2")
-        cls = ProductClass(CycleType((2, 1)), g2.identity())
-        assert theta(cls) == 0
+        assert theta(CycleType((2, 1)), g2.identity()) == 0
 
     def test_equality_case_gives_zero(self):
         g3 = AbelianGroup.from_label("C3")
-        cls = ProductClass(CycleType((3,)), g3.element((1,)))
-        assert theta(cls) == 0
+        assert theta(CycleType((3,)), g3.element((1,))) == 0
 
     def test_transposition_class_in_quintic_product(self):
         g5 = AbelianGroup.from_label("C5")
-        cls = ProductClass(CycleType((2, 1, 1, 1)), g5.element((1,)))
-        assert theta(cls) == Fraction(-16, 5)
+        assert theta(CycleType((2, 1, 1, 1)), g5.element((1,))) == Fraction(-16, 5)
 
     def test_theta_is_never_positive(self):
         for group in abelian_groups_up_to(8):
             for d in (3, 4, 5):
-                for cls in conjugacy_classes_product(d, group):
-                    assert theta(cls) <= 0
+                for g, h in conjugacy_classes_product(d, group):
+                    assert theta(g, h) <= 0
 
 
 class TestBeta:
@@ -274,17 +266,15 @@ class TestBeta:
         assert result.value == Fraction(-1, 2) + eps
         # The maximum is attained at the transposition class (its exponent is
         # epsilon); the 3-cycle class sits a full unit lower.
-        assert {c.sd_part.parts for c in result.attained} == {(2, 1)}
-        by_type = {
-            c.sd_part.parts: value for c, value in result.per_class
-        }
+        assert {g.parts for g, _ in result.attained} == {(2, 1)}
+        by_type = {g.parts: value for (g, _), value in result.per_class}
         assert by_type[(3,)] == Fraction(-3, 2) + eps
 
     def test_zero_exponents_expose_equality_cases(self):
         zero = {ct: Fraction(0) for ct in partitions(4) if not ct.is_identity()}
         result = beta(4, AbelianGroup.from_label("C2"), zero)
         assert result.value == 0
-        assert {c.sd_part.parts for c in result.attained} == {(2, 2), (4,)}
+        assert {g.parts for g, _ in result.attained} == {(2, 2), (4,)}
         # Without any equality case the maximum drops strictly below zero.
         zero3 = {ct: Fraction(0) for ct in partitions(3) if not ct.is_identity()}
         assert beta(3, AbelianGroup.from_label("C2"), zero3).value == Fraction(-1, 2)
@@ -310,8 +300,8 @@ class TestBeta:
                 margins = hypothesis_b_margin(d, group, r)
                 assert result.value == max(margins.values())
                 per_type: dict[tuple[int, ...], Fraction] = {}
-                for cls, value in result.per_class:
-                    parts = cls.sd_part.parts
+                for (g, _), value in result.per_class:
+                    parts = g.parts
                     per_type[parts] = max(per_type.get(parts, value), value)
                 for g, margin in margins.items():
                     assert per_type[g.parts] == margin

@@ -49,8 +49,9 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from sdxa.census import (Dataset, FieldRecord, LocalDatum, dump_dataset, factorize,
+from sdxa.census import (Dataset, FieldRecord, LocalDatum, dump_dataset,
                          fundamental_discriminant, load_dataset)
+from sdxa.groups import factorize
 from sdxa.perms import CycleType
 
 MAX_CUBIC_DISC = 2000
