@@ -1198,8 +1198,8 @@ def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
     assert built == [group_1, group_2] and group_1 is not group_2
     assert built[0] is group_1 and built[1] is group_2
     assert group_1._elements_by_order is not group_2._elements_by_order
-    assert group_1.element_of_order(2) is not group_2.element_of_order(2)
-    assert group_1.element_of_order(2) == group_2.element_of_order(2)
+    assert group_1._elements_by_order[2] is not group_2._elements_by_order[2]
+    assert group_1._elements_by_order[2] == group_2._elements_by_order[2]
     assert results[:2] == results[2:4] == results[4:]
 
 

@@ -912,7 +912,7 @@ def test_readme_class_function_signatures_are_the_functions_own():
     # The README lists the functions of one class, which take (g, h), and the
     # functions over all classes, which take (d, group[, r]).  Every
     # `name(params)` written there takes exactly those parameters.
-    paragraph = next(p for p in README.read_text().split("\n\n")
+    paragraph = next(" ".join(p.split()) for p in README.read_text().split("\n\n")
                      if p.startswith("A function of one class of"))
     one_class, all_classes = paragraph.split("A function over all classes")
     modules = [vars(m) for m in (perms, groups, indexcalc, splitting, census)]
