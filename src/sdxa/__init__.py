@@ -3,7 +3,8 @@ for degree-d fields twisted by an abelian group.
 
 The package is organized bottom-up:
 
-- :mod:`sdxa.perms` — permutations, cycle types, the product embedding.
+- :mod:`sdxa.perms` — cycle types, pair indices, and the product embedding
+  of image tuples that checks them.
 - :mod:`sdxa.groups` — abelian groups, product conjugacy classes,
   cyclotomic orbits, and the counting invariants they determine.
 - :mod:`sdxa.indexcalc` — the discrepancy function, equality-case

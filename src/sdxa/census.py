@@ -183,9 +183,6 @@ class FieldRecord:
             raise DomainError(f"{self.disc} has a prime factor outside {self.ramified_primes}")
         return fundamental
 
-    def local_at(self, prime: int) -> LocalDatum | None:
-        return self.local_by_prime.get(prime)
-
     def validate(self) -> None:
         problem = self._problem()
         if problem is not None:

@@ -17,7 +17,7 @@ class DomainError(SdxaError, ValueError):
 
 
 class DegreeMismatchError(DomainError):
-    """A cycle type or permutation has the wrong degree for the context."""
+    """An element's residue vector does not match its group's rank."""
 
 
 class PatternError(SdxaError, ValueError):
@@ -40,14 +40,12 @@ class RecordParseError(SdxaError, ValueError):
 class RecordValidationError(SdxaError, ValueError):
     """A parsed census record violates a consistency invariant.
 
-    Carries the label of the offending record when known.
+    Carries the label of the offending record.
     """
 
-    def __init__(self, message: str, label: str | None = None):
+    def __init__(self, message: str, label: str):
         self.label = label
-        if label is not None:
-            message = f"record {label!r}: {message}"
-        super().__init__(message)
+        super().__init__(f"record {label!r}: {message}")
 
 
 class InsufficientDataError(SdxaError):

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DegreeMismatchError, DomainError
-from .perms import CycleType, Permutation, partitions
+from .perms import CycleType, partitions
 
 _LABEL_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
 ClassPair = tuple[CycleType, "AbelianElement"]  # a conjugacy class (g, h) of S_d x A
@@ -146,7 +146,7 @@ class AbelianGroup:
         d_i; built once per group instance, which a census load's records share."""
         memo = self._elements_by_order
         if order not in memo:
-            if self.exponent % order:
+            if order < 1 or self.exponent % order:
                 raise DomainError(f"group {self.label()} has no element of order {order}")
             factors = self.invariant_factors
             residues = factors[:-1] + (self.exponent // order,) if factors else ()
@@ -215,12 +215,12 @@ def element_order(a: AbelianElement) -> int:
     return lcm(*(d // gcd(r, d) for r, d in zip(a.residues, factors)))
 
 
-def regular_permutation(a: AbelianElement) -> Permutation:
+def regular_permutation(a: AbelianElement) -> tuple[int, ...]:
     """The permutation induced by ``x -> x + a`` on the group's own elements,
     numbered in the order of :meth:`AbelianGroup.elements`."""
     elements = a.group.elements()
     position = {e.residues: i for i, e in enumerate(elements, start=1)}
-    return Permutation(tuple(position[e.add(a).residues] for e in elements))
+    return tuple(position[e.add(a).residues] for e in elements)
 
 
 def regular_cycle_type(a: AbelianElement) -> CycleType:

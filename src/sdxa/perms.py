@@ -1,12 +1,15 @@
 """Exact permutation and cycle-type arithmetic.
 
 This module provides the combinatorial bedrock for everything else in the
-package: permutations in one-line notation, cycle types (integer partitions
-recording cycle structure), the index of a permutation
-(``degree - number_of_cycles``), and the product embedding of two symmetric
-groups acting on a grid of pairs.  The product embedding doubles as a
-brute-force oracle for the gcd-based pair formulas, so the fast paths can be
-checked against an independent construction.
+package: cycle types (integer partitions recording cycle structure), the
+index of a permutation (``degree - number_of_cycles``), and the gcd formulas
+for a pair of permutations acting on a grid of pairs.
+
+A permutation of ``{1, ..., n}`` is its tuple of images, ``p[i - 1]`` being
+the image of ``i``.  Explicit permutations appear only in the brute-force
+oracle: the product embedding of two permutations on the pair grid, whose
+cycle type realizes the gcd formulas, so the fast paths can be checked
+against an independent construction.
 
 All values are immutable and all functions are pure; everything here is safe
 to call concurrently.
@@ -18,112 +21,11 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import DegreeMismatchError, DomainError
+from .errors import DomainError
 
 #: Guard for the brute-force product construction: the embedded permutation
 #: acts on ``m * n`` points, and this cap keeps exhaustive oracles desk-scale.
 MAX_PRODUCT_DEGREE = 10_000
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of ``{1, ..., degree}`` in one-line notation.
-
-    ``images[i - 1]`` is the image of point ``i``.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise DomainError(
-                f"images must be a bijection on 1..{n}: got {self.images!r}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        if not 1 <= point <= self.degree:
-            raise DomainError(f"point {point} out of range 1..{self.degree}")
-        return self.images[point - 1]
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        if degree < 0:
-            raise DomainError("degree must be non-negative")
-        return Permutation(tuple(range(1, degree + 1)))
-
-    @staticmethod
-    def from_cycles(degree: int, cycles: list[tuple[int, ...]]) -> "Permutation":
-        """Build a permutation from disjoint cycles given as point tuples.
-
-        >>> Permutation.from_cycles(4, [(1, 2, 3, 4)]).images
-        (2, 3, 4, 1)
-        >>> Permutation.from_cycles(5, [(1, 2), (3, 4)]).images
-        (2, 1, 4, 3, 5)
-        """
-        images = list(range(1, degree + 1))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for point in cycle:
-                if not 1 <= point <= degree:
-                    raise DomainError(f"cycle point {point} out of range 1..{degree}")
-                if point in seen:
-                    raise DomainError(f"point {point} repeated across cycles")
-                seen.add(point)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a - 1] = b
-        return Permutation(tuple(images))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return ``self after other`` (apply ``other`` first)."""
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot compose degrees {self.degree} and {other.degree}"
-            )
-        return Permutation(tuple(self.images[i - 1] for i in other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Permutation(tuple(images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, fixed points included, each starting at its
-        smallest point, listed by smallest point."""
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            point = self.images[start - 1]
-            while point != start:
-                cycle.append(point)
-                seen.add(point)
-                point = self.images[point - 1]
-            out.append(tuple(cycle))
-        return out
-
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
-
-    def power(self, k: int) -> "Permutation":
-        """Return the k-th power (k may be negative or zero)."""
-        k %= self.order()
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
 
 
 @dataclass(frozen=True)
@@ -161,30 +63,49 @@ class CycleType:
     def gcd_of_parts(self) -> int:
         return gcd(*self.parts)
 
-    def representative(self) -> Permutation:
-        """A canonical permutation with this cycle type (consecutive blocks)."""
-        cycles: list[tuple[int, ...]] = []
-        next_point = 1
+    def representative(self) -> tuple[int, ...]:
+        """A canonical permutation with this cycle type (consecutive blocks).
+
+        >>> CycleType((3, 2, 1)).representative()
+        (2, 3, 1, 5, 4, 6)
+        """
+        images: list[int] = []
         for p in self.parts:
-            cycles.append(tuple(range(next_point, next_point + p)))
-            next_point += p
-        return Permutation.from_cycles(self.degree, cycles)
+            start = len(images) + 1
+            images.extend(range(start + 1, start + p))
+            images.append(start)
+        return tuple(images)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def cycle_type(p: Permutation) -> CycleType:
-    """The cycle type of a permutation, fixed points included.
+def cycle_type(p: tuple[int, ...]) -> CycleType:
+    """The cycle type of a permutation given by its images, fixed points
+    included.
 
-    >>> cycle_type(Permutation.identity(4)).parts
+    >>> cycle_type((1, 2, 3, 4)).parts
     (1, 1, 1, 1)
-    >>> cycle_type(Permutation.from_cycles(4, [(1, 2, 3, 4)])).parts
+    >>> cycle_type((2, 3, 4, 1)).parts
     (4,)
-    >>> cycle_type(Permutation.from_cycles(5, [(1, 2), (3, 4)])).parts
+    >>> cycle_type((2, 1, 4, 3, 5)).parts
     (2, 2, 1)
     """
-    return CycleType(tuple(len(c) for c in p.cycles()))
+    n = len(p)
+    if sorted(p) != list(range(1, n + 1)):
+        raise DomainError(f"images must be a bijection on 1..{n}: got {p!r}")
+    seen = [False] * n
+    lengths: list[int] = []
+    for start in range(n):
+        length = 0
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            length += 1
+            point = p[point] - 1
+        if length:
+            lengths.append(length)
+    return CycleType(tuple(lengths))
 
 
 def ind(ct: CycleType) -> int:
@@ -232,7 +153,7 @@ def pair_index(g: CycleType, h: CycleType) -> int:
     return g.degree * h.degree - pair_cycle_count(g, h)
 
 
-def product_embed(g: Permutation, h: Permutation) -> Permutation:
+def product_embed(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation of pair-points induced by ``g`` and ``h`` jointly.
 
     The pair ``(i, j)`` with ``1 <= i <= m``, ``1 <= j <= n`` is indexed as
@@ -241,23 +162,21 @@ def product_embed(g: Permutation, h: Permutation) -> Permutation:
     :func:`pair_index`: the cycle type of the embedded permutation realizes the
     gcd formula.
 
-    >>> e = product_embed(Permutation.identity(2), Permutation.identity(3))
-    >>> e.images
+    >>> product_embed((1, 2), (1, 2, 3))
     (1, 2, 3, 4, 5, 6)
-    >>> swap = Permutation.from_cycles(2, [(1, 2)])
-    >>> cycle_type(product_embed(swap, swap)).parts
+    >>> cycle_type(product_embed((2, 1), (2, 1))).parts
     (2, 2)
     """
-    m, n = g.degree, h.degree
+    m, n = len(g), len(h)
     if m * n > MAX_PRODUCT_DEGREE:
         raise DomainError(
             f"product degree {m * n} exceeds the configured cap {MAX_PRODUCT_DEGREE}"
         )
     images = [0] * (m * n)
-    for i, gi in enumerate(g.images):
-        for j, hj in enumerate(h.images):
+    for i, gi in enumerate(g):
+        for j, hj in enumerate(h):
             images[i * n + j] = (gi - 1) * n + hj
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def partitions(n: int) -> list[CycleType]:
@@ -282,8 +201,8 @@ def partitions(n: int) -> list[CycleType]:
     return [CycleType(p) for p in gen(n, n)]
 
 
-def all_permutations(n: int) -> list[Permutation]:
+def all_permutations(n: int) -> list[tuple[int, ...]]:
     """Every permutation of degree ``n`` (use only for small ``n``)."""
     if n > 8:
         raise DomainError("exhaustive permutation listing is capped at degree 8")
-    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+    return list(itertools.permutations(range(1, n + 1)))

@@ -447,8 +447,8 @@ def test_criterion_8_census_dual_route():
             for entry in composed.breakdown:
                 if entry.v_f == 0 or entry.v_k == 0:
                     continue
-                f_local = f_record.local_at(entry.prime)
-                k_local = k_record.local_at(entry.prime)
+                f_local = f_record.local_by_prime.get(entry.prime)
+                k_local = k_record.local_by_prime.get(entry.prime)
                 if not (f_local.is_tame and k_local.is_tame):
                     continue
                 via_patterns = remark_formula(

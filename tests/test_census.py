@@ -1012,7 +1012,7 @@ def _wild_keys(f_rec, k_rec):
     order, d = k_rec.abelian_group.order, f_rec.degree
     keys = []
     for f_datum in f_rec.local:
-        k_datum = k_rec.local_at(f_datum.prime)
+        k_datum = k_rec.local_by_prime.get(f_datum.prime)
         if k_datum and not (f_datum.is_tame and k_datum.is_tame):
             v_f, v_k = f_datum.valuation, k_datum.valuation
             keys.append(((f_datum.prime, v_f, v_k), min(order * v_f, d * v_k)))
@@ -1289,8 +1289,8 @@ def test_record_caches_are_built_on_first_access():
         for r in data.records
     )
     rec = data.get("3.-104.1")
-    assert rec.local_at(13) is rec.local_by_prime[13] is rec.local[1]
-    assert rec.local_at(5) is None
+    assert rec.local_by_prime.get(13) is rec.local_by_prime[13] is rec.local[1]
+    assert rec.local_by_prime.get(5) is None
     assert rec.fundamental_disc == fundamental_discriminant(rec.disc) == -104
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdxa.errors import DomainError
+from sdxa.errors import DegreeMismatchError, DomainError
 from sdxa.groups import (
     AbelianGroup,
     MalleInvariants,
@@ -63,6 +63,17 @@ class TestAbelianGroup:
         elements = g.elements()
         assert len(elements) == 4
         assert elements[0].is_identity
+
+    def test_element_of_order_rejects_orders_below_one(self):
+        group = AbelianGroup.from_label("C4")
+        for order in (0, -2):
+            with pytest.raises(DomainError, match=f"group C4 has no element of order {order}$"):
+                group.element_of_order(order)
+            assert order not in group._elements_by_order
+
+    def test_element_with_wrong_rank_rejected(self):
+        with pytest.raises(DegreeMismatchError, match="length 1 does not match group rank 2"):
+            AbelianGroup.from_label("C2xC4").element((1,))
 
     def test_isomorphism_classes_per_order(self):
         # Number of abelian groups of order n for n = 1..16.
@@ -210,7 +221,8 @@ class TestElements:
     def test_element_order_matches_regular_permutation_order(self, label, seed):
         group = AbelianGroup.from_label(label)
         element = group.elements()[seed % group.order]
-        assert element_order(element) == regular_permutation(element).order()
+        permutation = regular_permutation(element)
+        assert element_order(element) == cycle_type(permutation).order()
 
     def test_regular_cycle_type_examples(self):
         assert regular_cycle_type(AbelianGroup.from_label("C4").identity()).parts == (

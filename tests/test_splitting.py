@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
+from sdxa import groups, perms
 from sdxa.errors import DomainError, PatternError
 from sdxa.groups import (
     AbelianGroup,
@@ -26,8 +27,8 @@ from sdxa.groups import (
 from sdxa.indexcalc import delta
 from sdxa.perms import (
     CycleType,
-    Permutation,
     all_permutations,
+    cycle_type,
     ind,
     pair_cycle_count,
     pair_index,
@@ -140,13 +141,18 @@ class TestInertiaOrbits:
                         )
 
 
-def _orbit_pattern(iota: Permutation, phi: Permutation) -> SplittingPattern:
+def _orbit_pattern(iota: tuple[int, ...], phi: tuple[int, ...]) -> SplittingPattern:
     """Factor the point set into decomposition orbits of <iota, phi> and count
     the inertia (iota-)orbits inside each."""
-    inertia_size = {point - 1: len(c) for c in iota.cycles() for point in c}
-    seen = [False] * iota.degree
+    inertia_size = {}
+    for start in range(len(iota)):
+        size, point = 1, iota[start] - 1
+        while point != start:
+            size, point = size + 1, iota[point] - 1
+        inertia_size[start] = size
+    seen = [False] * len(iota)
     factors: list[tuple[int, int]] = []
-    for start in range(iota.degree):
+    for start in range(len(iota)):
         if seen[start]:
             continue
         stack = [start]
@@ -155,7 +161,7 @@ def _orbit_pattern(iota: Permutation, phi: Permutation) -> SplittingPattern:
         while stack:
             point = stack.pop()
             orbit.append(point)
-            for image in (iota.images[point] - 1, phi.images[point] - 1):
+            for image in (iota[point] - 1, phi[point] - 1):
                 if not seen[image]:
                     seen[image] = True
                     stack.append(image)
@@ -174,20 +180,22 @@ def brute_force_patterns(g, h, d, group):
     each embedded on d * |A| points and kept when it conjugates the inertia
     generator iota to a coprime power of itself."""
     iota = product_embed(g.representative(), regular_permutation(h))
-    order = iota.order()
-    unit_power_images = frozenset(
-        iota.power(u).images for u in range(1, order + 1) if gcd(u, order) == 1
-    )
+    order = cycle_type(iota).order()
+    unit_powers, power = set(), iota
+    for u in range(1, order + 1):
+        if gcd(u, order) == 1:
+            unit_powers.add(power)
+        power = tuple(iota[i - 1] for i in power)
     translations = [regular_permutation(t) for t in group.elements()]
-    n = iota.degree
+    n = len(iota)
     patterns = set()
     for sigma in all_permutations(d):
         for tau in translations:
             phi = product_embed(sigma, tau)
             conjugate = [0] * n
             for point in range(n):
-                conjugate[phi.images[point] - 1] = phi.images[iota.images[point] - 1]
-            if tuple(conjugate) in unit_power_images:
+                conjugate[phi[point] - 1] = phi[iota[point] - 1]
+            if tuple(conjugate) in unit_powers:
                 patterns.add(_orbit_pattern(iota, phi))
     return frozenset(patterns)
 
@@ -323,10 +331,13 @@ def test_patterns_for_a_larger_prime_rescale_the_c5_patterns(parts):
 
 
 def test_table_path_builds_no_permutation(monkeypatch):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a permutation was built on the table path")
 
-    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(perms, "product_embed", refuse)
+    monkeypatch.setattr(perms, "all_permutations", refuse)
+    monkeypatch.setattr(groups, "regular_permutation", refuse)
+    monkeypatch.setattr(CycleType, "representative", refuse)
     decomposition_patterns.cache_clear()
     for d in (3, 4, 5):
         for label in ("C2", "C3", "C5", "C7"):
