@@ -1289,7 +1289,7 @@ def test_record_caches_are_built_on_first_access():
         for r in data.records
     )
     rec = data.get("3.-104.1")
-    assert rec.local_by_prime.get(13) is rec.local_by_prime[13] is rec.local[1]
+    assert rec.local_by_prime.get(13) is rec.local[1]
     assert rec.local_by_prime.get(5) is None
     assert rec.fundamental_disc == fundamental_discriminant(rec.disc) == -104
 

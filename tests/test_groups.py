@@ -64,13 +64,6 @@ class TestAbelianGroup:
         assert len(elements) == 4
         assert elements[0].is_identity
 
-    def test_element_of_order_rejects_orders_below_one(self):
-        group = AbelianGroup.from_label("C4")
-        for order in (0, -2):
-            with pytest.raises(DomainError, match=f"group C4 has no element of order {order}$"):
-                group.element_of_order(order)
-            assert order not in group._elements_by_order
-
     def test_element_with_wrong_rank_rejected(self):
         with pytest.raises(DegreeMismatchError, match="length 1 does not match group rank 2"):
             AbelianGroup.from_label("C2xC4").element((1,))

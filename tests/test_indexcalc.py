@@ -121,11 +121,12 @@ class TestDelta:
 
     def test_element_of_order_is_stable_under_the_memo(self):
         # the closed form picks the element the walk over group.elements()
-        # picked: the first of that order in residue order
+        # picked: the first of that order in residue order; orders below 1
+        # are refused like any other order no element has
         for label in self.MEMO_GROUPS + ["C1", "C2xC6"]:
             group = AbelianGroup.from_label(label)
             orders = {element_order(h) for h in group.elements()}
-            for order in range(1, group.order + 1):
+            for order in range(-2, group.order + 1):
                 if order in orders:
                     h = group.element_of_order(order)
                     assert h.group == group and element_order(h) == order
@@ -137,7 +138,7 @@ class TestDelta:
                     assert group._elements_by_order[order] is h
                 else:
                     for _ in range(2):
-                        with pytest.raises(DomainError):
+                        with pytest.raises(DomainError, match=f"no element of order {order}$"):
                             group.element_of_order(order)
                     assert order not in group._elements_by_order
 
