@@ -15,6 +15,7 @@ Independent oracles used here:
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -783,6 +784,29 @@ def test_uniformity_bin_validation():
         UniformityBin(classes=frozenset(), q=1)
     with pytest.raises(DomainError):
         UniformityBin(classes=frozenset({CycleType((3,))}), q=0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_uniformity_over_many_cutoffs_equals_one_call_per_cutoff(bundled, seed):
+    # seeded bins over the two ramified cubic classes, q a power of two, and
+    # 1-6 cutoffs (repeats allowed) across the fixture's range
+    rng = random.Random(seed)
+    classes = [CycleType((2, 1)), CycleType((3,))]
+    rng.shuffle(classes)
+    split = rng.choice([[classes], [classes[:1], classes[1:]], [classes[:1]]])
+    bins = [
+        UniformityBin(
+            classes=frozenset(part),
+            q=2 ** rng.randrange(8),
+            exponent=rng.choice([None, Fraction(-1, 2), Fraction(-1, 3)]),
+        )
+        for part in split
+    ]
+    xs = [rng.randrange(1, 2500) for _ in range(rng.randrange(1, 7))]
+    rows = measure_uniformity(bundled, 3, bins, xs)
+    one_by_one = [measure_uniformity(bundled, 3, bins, [x]) for x in sorted(xs)]
+    assert all(len(single) == 1 for single in one_by_one)
+    assert rows == [single[0] for single in one_by_one]
 
 
 # ---------------------------------------------------------------------------
