@@ -59,7 +59,7 @@ print()
 # X are flagged, not dropped: the true count lies in [count, count+flagged].
 # The fit constant count / X^(1/|A|) should stabilize as X grows.
 # ---------------------------------------------------------------------------
-pairs = iter_census_pairs(dataset, 3, group)
+pairs = list(iter_census_pairs(dataset, 3, group))
 print(f"linearly disjoint pairs available: {len(pairs)}")
 print(f"{'X':>10} {'count':>6} {'flagged':>8} {'fit':>8}")
 for x in (10**4, 10**5, 10**6):

@@ -9,6 +9,10 @@ inertia classes alone; at a shared prime with wild data the discrepancy is
 unknowable from the records, so the pair is flagged and segregated unless an
 explicit override supplies the value.  Counting functions report exact counts,
 flagged residues, and completeness warnings rather than guessing.
+
+The census reads and checks its three input formats: record files
+(:func:`load_dataset`), and the JSON wild overrides and uniformity spec
+(:func:`parse_wild_overrides`, :func:`parse_uniformity_spec`) through one reader.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DomainError,
@@ -299,8 +303,8 @@ def _parse_datum(chunk: str) -> LocalDatum | str:
             return LocalDatum(prime, wild_valuation=int(wild.group(1)))
     except DomainError as exc:
         return f"bad local datum {chunk!r}: {exc}"
-    except ValueError:
-        return f"bad cycle lengths in {chunk!r}"
+    except ValueError:  # int() past sys.get_int_max_str_digits()
+        return f"bad {'cycle lengths' if tame else 'wild valuation'} in {chunk!r}"
     return f"local datum {chunk!r} is neither t(...) nor w(...)"
 
 
@@ -401,35 +405,42 @@ def dump_dataset(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class WildOverrides:
-    """Discrepancy values for wild-overlap primes, keyed by the only data the
-    records carry there: (prime, valuation in the degree-d field, valuation
-    in the abelian field)."""
+# Discrepancies at wild-overlap primes, keyed by the only data the records carry
+# there: (prime, valuation in the degree-d field, valuation in the abelian field).
+WildOverrides = dict[tuple[int, int, int], int]
 
-    table: dict[tuple[int, int, int], int] = field(default_factory=dict)
 
-    @staticmethod
-    def from_json(text: str) -> "WildOverrides":
-        table: dict[tuple[int, int, int], int] = {}
-        try:
-            for entry in json.loads(text).get("overrides", []):
-                key = (int(entry["p"]), int(entry["f_val"]), int(entry["k_val"]))
-                table[key] = int(entry["delta"])
-        except KeyError as exc:
-            raise DomainError(f"wild override entry lacks the key {exc}") from None
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed wild overrides: {exc}") from None
-        if any(value < 0 for value in table.values()):
-            raise DomainError("override discrepancies must be non-negative")
-        return WildOverrides(table)
+def _integer(value: object) -> int:
+    """``int(value)`` for a JSON value that must be an integer: a boolean or a
+    number with a fractional part is refused, not truncated."""
+    number = int(value)
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
+        raise ValueError(f"{json.dumps(value)} is not an integer")
+    return number
 
-    @staticmethod
-    def load(path: str) -> "WildOverrides":
-        return WildOverrides.from_json(read_text(path))
 
-    def lookup(self, prime: int, f_val: int, k_val: int) -> int | None:
-        return self.table.get((prime, f_val, k_val))
+def _read_json(text: str, lacks: str, malformed: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON document ``text``; a missing key is reported as
+    "``lacks`` lacks the key ...", any other bad value as "malformed ``malformed``"."""
+    try:
+        return parse(json.loads(text))
+    except KeyError as exc:
+        raise DomainError(f"{lacks} lacks the key {exc}") from None
+    except (ArithmeticError, AttributeError, RecursionError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {malformed}: {exc}") from None
+
+
+def parse_wild_overrides(text: str) -> WildOverrides:
+    """The wild overrides a JSON text lists, ``{"overrides": [{"p": .., "f_val":
+    .., "k_val": .., "delta": ..}, ...]}``, keyed by ``(p, f_val, k_val)``."""
+    table = _read_json(text, "wild override entry", "wild overrides", lambda doc: {
+        (_integer(entry["p"]), _integer(entry["f_val"]), _integer(entry["k_val"])):
+        _integer(entry["delta"])
+        for entry in doc.get("overrides", [])
+    })
+    if any(value < 0 for value in table.values()):
+        raise DomainError("override discrepancies must be non-negative")
+    return table
 
 
 @dataclass(frozen=True)
@@ -539,7 +550,7 @@ def compose_disc(
             h = group.element_of_order(k_datum.tame_class.parts[0])
             delta_p = delta(f_datum.tame_class, h)
         else:
-            delta_p = overrides.lookup(p, v_f, v_k) if overrides else None
+            delta_p = overrides.get((p, v_f, v_k)) if overrides else None
             if delta_p is None:
                 unresolved.append(p)
             elif delta_p > min(order * v_f, d * v_k):
@@ -644,18 +655,13 @@ def _coverage_warnings(
     return warnings
 
 
-def _census_pairs(dataset: Dataset, d: int, group: AbelianGroup) -> Iterator[Pair]:
-    """The linearly disjoint (F, K) candidate pairs, one at a time."""
+def iter_census_pairs(dataset: Dataset, d: int, group: AbelianGroup) -> Iterator[Pair]:
+    """The linearly disjoint (F, K) candidate pairs of the census, one at a time."""
     k_records = dataset.abelian_records(group)
     for f_record in dataset.by_group(f"S{d}"):
         for k_record in k_records:
             if linearly_disjoint(f_record, k_record):
                 yield f_record, k_record
-
-
-def iter_census_pairs(dataset: Dataset, d: int, group: AbelianGroup) -> list[Pair]:
-    """All linearly disjoint (F, K) candidate pairs for the product census."""
-    return list(_census_pairs(dataset, d, group))
 
 
 def _count(
@@ -683,7 +689,7 @@ def _count(
     except OverflowError:
         raise DomainError("x is beyond the float range") from None
     count = flagged = 0
-    for f_record, k_record in _census_pairs(dataset, d, group):
+    for f_record, k_record in iter_census_pairs(dataset, d, group):
         result = compose_disc(f_record, k_record, overrides)
         if result.unresolved_primes:
             flagged += result.lower_bound < x
@@ -761,6 +767,21 @@ class UniformityBin:
             raise DomainError("a bin needs at least one inertia class")
 
 
+def parse_uniformity_spec(text: str) -> list[UniformityBin]:
+    """The bins a JSON text lists, ``{"bins": [{"classes": ["3", "2.1"], "q": ..,
+    "exponent": "-1/2"}, ...]}``; the exponent is optional."""
+    entries = _read_json(text, "uniformity spec", "uniformity spec", lambda doc: [
+        ([tuple(int(p) for p in cls.split(".")) for cls in entry["classes"]],
+         _integer(entry["q"]),
+         None if entry.get("exponent") is None else Fraction(str(entry["exponent"])))
+        for entry in doc["bins"]
+    ])
+    return [
+        UniformityBin(frozenset(CycleType(parts) for parts in classes), q, exponent)
+        for classes, q, exponent in entries
+    ]
+
+
 @dataclass(frozen=True)
 class UniformityRow:
     x: int
@@ -804,29 +825,25 @@ def measure_uniformity(
         seen |= item.classes
         for ct in item.classes:
             if ct.degree != d:
-                raise DomainError(
-                    f"class {ct} has degree {ct.degree}, expected {d}"
-                )
-    records = dataset.by_group(f"S{d}")
+                raise DomainError(f"class {ct} has degree {ct.degree}, expected {d}")
+    if min(x_values, default=1) < 1:
+        raise DomainError("x must be a positive integer")
+    top = max(x_values, default=0)
+    weighted: list[tuple[int, int]] = []  # (|disc|, weight) of each field below top
+    for record in dataset.by_group(f"S{d}"):
+        if abs(record.disc) >= top:
+            continue
+        weight = 1
+        for item in bins:
+            primes = [datum.prime for datum in record.local
+                      if datum.tame_class in item.classes]
+            weight *= _subset_products_in_range(primes, item.q, 2 * item.q)
+            if weight == 0:
+                break
+        weighted.append((abs(record.disc), weight))
     rows: list[UniformityRow] = []
     for x in sorted(x_values):
-        if x < 1:
-            raise DomainError("x must be a positive integer")
-        total = 0
-        for record in records:
-            if abs(record.disc) >= x:
-                continue
-            weight = 1
-            for item in bins:
-                primes = [
-                    datum.prime
-                    for datum in record.local
-                    if datum.is_tame and datum.tame_class in item.classes
-                ]
-                weight *= _subset_products_in_range(primes, item.q, 2 * item.q)
-                if weight == 0:
-                    break
-            total += weight
+        total = sum(weight for disc, weight in weighted if disc < x)
         ratio: float | None = None
         if all(item.exponent is not None for item in bins):
             try:

@@ -30,15 +30,12 @@ and for usage errors outside one subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from importlib.resources import files
 
 from .census import (
-    UniformityBin,
-    WildOverrides,
     compose_disc,
     count_N,
     count_N_truncated,
@@ -46,10 +43,12 @@ from .census import (
     linearly_disjoint,
     measure_uniformity,
     missing_coverage,
+    parse_uniformity_spec,
+    parse_wild_overrides,
     product_order,
     read_text,
 )
-from .errors import DomainError, SdxaError
+from .errors import SdxaError
 from .groups import (
     AbelianGroup,
     abelian_counting_constants,
@@ -64,7 +63,6 @@ from .indexcalc import (
     tail_series,
     theta,
 )
-from .perms import CycleType
 from .splitting import generate_table
 
 
@@ -208,7 +206,8 @@ def cmd_tail_bound(args) -> int:
 def cmd_census(args) -> int:
     dataset = ingest(args.dataset)
     group = AbelianGroup.from_label(args.A)
-    overrides = WildOverrides.load(args.wild_overrides) if args.wild_overrides else None
+    overrides = (parse_wild_overrides(read_text(args.wild_overrides))
+                 if args.wild_overrides else None)
     if args.Y is not None:
         result = count_N_truncated(dataset, args.d, group, args.X, args.Y, overrides)
     else:
@@ -237,7 +236,8 @@ def cmd_compose(args) -> int:
     dataset = ingest(args.dataset)
     f_record = dataset.get(args.F)
     k_record = dataset.get(args.K)
-    overrides = WildOverrides.load(args.wild_overrides) if args.wild_overrides else None
+    overrides = (parse_wild_overrides(read_text(args.wild_overrides))
+                 if args.wild_overrides else None)
     result = compose_disc(f_record, k_record, overrides)
     disjoint = linearly_disjoint(f_record, k_record)
     rows = [["prime", "v_f", "v_k", "delta_p", "v_fk"]] + [
@@ -259,35 +259,9 @@ def cmd_compose(args) -> int:
     ])
 
 
-def _parse_uniformity_spec(path: str) -> list[UniformityBin]:
-    text = read_text(path)
-    try:
-        entries = [
-            (
-                [tuple(int(p) for p in cls.split(".")) for cls in entry["classes"]],
-                int(entry["q"]),
-                None if entry.get("exponent") is None
-                else Fraction(str(entry["exponent"])),
-            )
-            for entry in json.loads(text)["bins"]
-        ]
-    except KeyError as exc:
-        raise DomainError(f"uniformity spec lacks the key {exc}") from None
-    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed uniformity spec: {exc}") from None
-    return [
-        UniformityBin(
-            classes=frozenset(CycleType(parts) for parts in classes),
-            q=q,
-            exponent=exponent,
-        )
-        for classes, q, exponent in entries
-    ]
-
-
 def cmd_uniformity(args) -> int:
     dataset = ingest(args.dataset)
-    bins = _parse_uniformity_spec(args.uniformity_spec)
+    bins = parse_uniformity_spec(read_text(args.uniformity_spec))
     rows = [["x", "count", "ratio"]] + [
         [row.x, row.count, "" if row.ratio is None else f"{row.ratio:.6g}"]
         for row in measure_uniformity(dataset, args.d, bins, args.X)

@@ -113,9 +113,14 @@ class AbelianGroup:
         >>> AbelianGroup.from_label("C2xC3").invariant_factors
         (6,)
         """
-        if not _LABEL_RE.match(label):
-            raise DomainError(f"bad abelian group label: {label!r}")
-        return AbelianGroup(tuple(int(t[1:]) for t in label.split("x")))
+        if _LABEL_RE.match(label):
+            try:  # int() refuses a factor past sys.get_int_max_str_digits()
+                factors = tuple(int(t[1:]) for t in label.split("x"))
+            except ValueError:
+                pass
+            else:
+                return AbelianGroup(factors)
+        raise DomainError(f"bad abelian group label: {label!r}")
 
     @cached_property
     def order(self) -> int:

@@ -1,12 +1,15 @@
 """Unit tests of the summary that ``tools/bench_pairs.py`` writes into a
 BENCH file (per side the median and quartiles, and the pairs the change won),
 of the per-layer medians over its traced runs, and of the bytecode clearing
-it does before every run."""
+it does before every run, and of its ``--pairs`` parsing."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -97,3 +100,62 @@ def test_clear_bytecode_removes_caches_under_src_and_perfbench(tmp_path):
     assert all(directory.exists() for directory in kept)
     assert (tmp_path / "src" / "sdxa" / "splitting.py").exists()
     bench_pairs.clear_bytecode(str(tmp_path / "no-such-tree"))
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        (["tables"], "expected WORKLOAD=N with N >= 1, not 'tables'"),
+        (["tables=0"], "expected WORKLOAD=N with N >= 1, not 'tables=0'"),
+        (["tables=-1"], "expected WORKLOAD=N with N >= 1, not 'tables=-1'"),
+        (["tables=2.5"], "expected WORKLOAD=N with N >= 1, not 'tables=2.5'"),
+        (["=3"], "expected WORKLOAD=N with N >= 1, not '=3'"),
+        (["tables=3", "census-count=2", "tables=1"], "--pairs names tables twice"),
+    ],
+    ids=["no-count", "zero", "negative", "fraction", "no-workload", "repeated"],
+)
+def test_a_bad_pairs_value_is_a_usage_error_before_any_run(monkeypatch, tmp_path, capsys,
+                                                          pairs, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_once was called")
+
+    monkeypatch.setattr(bench_pairs, "run_once", refuse)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path),
+            "--out", str(tmp_path / "BENCH.json")]
+    for item in pairs:
+        argv += ["--pairs", item]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_pairs_values_parse_to_workload_and_count():
+    assert bench_pairs.workload_pairs("census-count=12") == ("census-count", 12)
+
+
+def test_each_workload_runs_its_count_of_pairs(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS, "per_layer": []}))
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((workload, seed, trace))
+        return {"git_sha": "a", "src_sha256": "b",
+                "metrics": {"throughput_cmd_s": 5.0, "latency_p50_ms": 100.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--pairs", "tables=2", "--pairs", "exponents=1",
+                             "--first-seed", "5", "--out", str(out)]) == 0
+    untraced = [call for call in calls if call[2] == 0]
+    assert untraced == [("tables", 5, 0)] * 2 + [("exponents", 5, 0)] * 2 + [
+        ("tables", 6, 0)] * 2
+    assert len(calls) - len(untraced) == 2 * 2 * 2  # two traced runs per side and workload
+    written = json.loads(out.read_text())
+    assert written["command"].startswith(
+        "python3 tools/bench_pairs.py --pairs tables=2 --pairs exponents=1 --first-seed 5")
+    assert [written["workloads"][w]["summary"]["latency_p50_ms"]["pairs"]
+            for w in ("tables", "exponents")] == [2, 1]

@@ -41,6 +41,8 @@ from sdxa.census import (
     load_dataset,
     measure_uniformity,
     parse_record,
+    parse_uniformity_spec,
+    parse_wild_overrides,
     truncated_magnitude,
 )
 from sdxa.errors import (
@@ -328,6 +330,24 @@ def test_wild_valuation_must_be_positive():
         parse_record("a;3;S3;-23;2:w(0);")
 
 
+LONG = "9" * 5000  # past Python's default 4,300-digit limit of int()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (f"2.5.1;2;C{LONG};5;5:t(2);5", f"unknown group label 'C{LONG}'"),
+        (f"a;3;S3;-104;2:w({LONG}),13:t(2.1);", f"bad wild valuation in '2:w({LONG})'"),
+        (f"a;3;S3;-23;23:t(2.{LONG});", f"bad cycle lengths in '23:t(2.{LONG})'"),
+    ],
+    ids=["group-label", "wild-valuation", "cycle-length"],
+)
+def test_a_number_past_the_int_digit_limit_is_a_parse_error(line, message):
+    with pytest.raises(RecordParseError) as err:
+        load_dataset(f"#coverage group=S3 maxdisc=2000\n{line}\n")
+    assert str(err.value) == f"line 2: {message}"
+
+
 def test_load_dataset_headers_and_duplicates():
     text = (
         "# a header\n"
@@ -457,14 +477,14 @@ def test_compose_wild_overlap_flags_the_prime():
 def test_compose_wild_overlap_with_override():
     f_rec = record("f;3;S3;-104;2:w(3),13:t(2.1);")
     k_rec = record("k;2;C2;8;2:w(3);8")
-    overrides = WildOverrides.from_json(
+    overrides = parse_wild_overrides(
         '{"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 4}]}'
     )
     result = compose_disc(f_rec, k_rec, overrides)
     assert result.exact
     assert result.magnitude == 2 ** (15 - 4) * 13**2
     # an override for a different valuation pair does not apply
-    miss = WildOverrides.from_json(
+    miss = parse_wild_overrides(
         '{"overrides": [{"p": 2, "f_val": 2, "k_val": 3, "delta": 4}]}'
     )
     assert not compose_disc(f_rec, k_rec, miss).exact
@@ -473,7 +493,7 @@ def test_compose_wild_overlap_with_override():
 def test_compose_rejects_overlarge_override():
     f_rec = record("f;3;S3;-104;2:w(3),13:t(2.1);")
     k_rec = record("k;2;C2;8;2:w(3);8")
-    too_big = WildOverrides.from_json(
+    too_big = parse_wild_overrides(
         '{"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 7}]}'
     )
     with pytest.raises(DomainError, match="exceeds the bound"):
@@ -515,7 +535,59 @@ def test_breakdown_multiplies_out_to_the_magnitudes(f_line, k_line, exact):
 
 def test_override_json_rejects_negative_delta():
     with pytest.raises(DomainError):
-        WildOverrides.from_json('{"overrides": [{"p":2,"f_val":1,"k_val":1,"delta":-1}]}')
+        parse_wild_overrides('{"overrides": [{"p":2,"f_val":1,"k_val":1,"delta":-1}]}')
+
+
+def test_override_json_reads_integral_values_as_before():
+    assert parse_wild_overrides('{"overrides": []}') == parse_wild_overrides("{}") == {}
+    for entry in ('{"p": 2, "f_val": 3, "k_val": 2, "delta": 4}',
+                  '{"p": 2.0, "f_val": "3", "k_val": 2e0, "delta": 4}'):
+        assert parse_wild_overrides(f'{{"overrides": [{entry}]}}') == {(2, 3, 2): 4}
+
+
+@pytest.mark.parametrize(
+    "entry,bad",
+    [
+        ('{"p": 2.9, "f_val": 3, "k_val": 2, "delta": 4.7}', "2.9"),
+        ('{"p": 2, "f_val": 3, "k_val": 2, "delta": 4.7}', "4.7"),
+        ('{"p": 2, "f_val": true, "k_val": 2, "delta": 4}', "true"),
+        ('{"p": 2, "f_val": 3, "k_val": 2, "delta": false}', "false"),
+    ],
+)
+def test_override_json_refuses_a_non_integral_number(entry, bad):
+    # truncating 2.9 to 2 would key the override to a prime nobody named
+    with pytest.raises(DomainError) as err:
+        parse_wild_overrides(f'{{"overrides": [{entry}]}}')
+    assert str(err.value) == f"malformed wild overrides: {bad} is not an integer"
+
+
+def test_uniformity_spec_reads_integral_values_as_before():
+    three, two = frozenset({CycleType((3,))}), frozenset({CycleType((2, 1))})
+    assert parse_uniformity_spec(
+        '{"bins": [{"classes": ["3"], "q": 8, "exponent": "-1/2"},'
+        ' {"classes": ["2.1"], "q": 2.0, "exponent": null}]}'
+    ) == [UniformityBin(three, 8, Fraction(-1, 2)), UniformityBin(two, 2)]
+    assert parse_uniformity_spec('{"bins": [{"classes": ["3", "2.1"], "q": "4"}]}') == [
+        UniformityBin(three | two, 4)
+    ]
+
+
+@pytest.mark.parametrize("q,bad", [("8.9", "8.9"), ("true", "true"), ("0.5", "0.5")])
+def test_uniformity_spec_refuses_a_non_integral_q(q, bad):
+    with pytest.raises(DomainError) as err:
+        parse_uniformity_spec(f'{{"bins": [{{"classes": ["3"], "q": {q}}}]}}')
+    assert str(err.value) == f"malformed uniformity spec: {bad} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "parse,message",
+    [(parse_wild_overrides, "malformed wild overrides: "),
+     (parse_uniformity_spec, "malformed uniformity spec: ")],
+)
+def test_json_nested_past_the_recursion_limit_is_malformed(parse, message):
+    with pytest.raises(DomainError) as err:
+        parse("[" * 100_000 + "]" * 100_000)
+    assert str(err.value).startswith(message + "maximum recursion depth exceeded")
 
 
 def test_compose_argument_roles():
@@ -596,7 +668,7 @@ def test_count_N_flagged_requires_reachable_bracket():
 
 def test_count_N_overrides_convert_flags_to_counts():
     data = toy_dataset()
-    overrides = WildOverrides.from_json(
+    overrides = parse_wild_overrides(
         '{"overrides": ['
         '{"p": 2, "f_val": 3, "k_val": 2, "delta": 4},'
         '{"p": 2, "f_val": 3, "k_val": 3, "delta": 6}]}'
@@ -947,7 +1019,7 @@ def _oracle_compose(f_record, k_record, overrides=None):
                 h = next(e for e in group.elements() if element_order(e) == n)
                 delta_p = delta(f_local.tame_class, h)
             else:
-                found = overrides.lookup(p, v_f, v_k) if overrides else None
+                found = overrides.get((p, v_f, v_k)) if overrides else None
                 if found is not None:
                     if found > min(order * v_f, d * v_k):
                         raise DomainError(
@@ -1165,7 +1237,7 @@ def test_counts_compose_the_listed_pairs_in_order(monkeypatch, bundled, y, overr
         count_N(bundled, 3, C2, 10**6, overrides)
     else:
         count_N_truncated(bundled, 3, C2, 10**6, y, overrides)
-    pairs = iter_census_pairs(bundled, 3, C2)
+    pairs = list(iter_census_pairs(bundled, 3, C2))
     assert len(pairs) == 19_704
     assert [(f.label, k.label) for f, k in composed] == [
         (f.label, k.label) for f, k in pairs
@@ -1198,7 +1270,7 @@ def test_a_count_reports_the_first_faulty_pair_it_reaches():
         with pytest.raises(InsufficientDataError, match="'k2' has even order"):
             count(backward, 3, C2, 10**6, y, too_big)
     with pytest.raises(InsufficientDataError, match="'k2' has even order"):
-        iter_census_pairs(forward, 3, C2)
+        list(iter_census_pairs(forward, 3, C2))
 
 
 def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
@@ -1384,7 +1456,7 @@ def test_compose_without_a_shared_prime_is_exact_and_naive():
 def test_fast_built_compose_result_equals_the_public_constructor(bundled):
     # one fixture pair of each kind: no shared prime, shared tame primes only,
     # an unresolved wild overlap, and that overlap resolved by an override
-    pairs = iter_census_pairs(bundled, 3, C2)
+    pairs = list(iter_census_pairs(bundled, 3, C2))
     results = [compose_disc(f_rec, k_rec) for f_rec, k_rec in pairs]
     kinds = (
         lambda r: not r.shared,

@@ -972,6 +972,89 @@ def test_json_infinity_is_a_malformed_file(capsys, tmp_path, argv, file_text,
     assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
 
 
+LONG_LABEL = "C" + "9" * 5000  # a factor past Python's 4,300-digit int() limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d", "3"],
+        ["delta-table", "--d", "3"],
+        ["verify-lemmas", "--d", "3"],
+        ["tail-bound", "--d", "3", "--m", "2", "--Y", "16"],
+        ["census", "--d", "3", "--X", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_group_label_past_the_int_digit_limit_is_one_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--A", LONG_LABEL)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad abelian group label: {LONG_LABEL!r}\n"
+
+
+@pytest.mark.parametrize("name", ["census", "compose"])
+def test_a_record_group_label_past_the_int_digit_limit_is_one_error(capsys, tmp_path,
+                                                                    name):
+    dataset = tmp_path / "records.txt"
+    dataset.write_text(f"3.-23.1;3;S3;-23;23:t(2.1);\n2.5.1;2;{LONG_LABEL};5;5:t(2);5\n")
+    argv = {"census": ["--d", "3", "--A", "C2", "--X", "100"],
+            "compose": ["--F", "3.-23.1", "--K", "2.5.1"]}[name]
+    code, out, err = run(capsys, name, *argv, "--dataset", str(dataset))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2: unknown group label {LONG_LABEL!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,file_text,message",
+    [
+        (["census", "--d", "3", "--A", "C2", "--X", "10", "--wild-overrides"],
+         '{"overrides": [{"p": 2.9, "f_val": 3, "k_val": 2, "delta": 4.7}]}',
+         "malformed wild overrides: 2.9 is not an integer"),
+        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
+         '{"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 4.7}]}',
+         "malformed wild overrides: 4.7 is not an integer"),
+        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
+         '{"overrides": [{"p": 2, "f_val": 3, "k_val": true, "delta": 4}]}',
+         "malformed wild overrides: true is not an integer"),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         '{"bins": [{"classes": ["3"], "q": 8.9}]}',
+         "malformed uniformity spec: 8.9 is not an integer"),
+        (["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"],
+         '{"bins": [{"classes": ["3"], "q": false}]}',
+         "malformed uniformity spec: false is not an integer"),
+    ],
+    ids=["overrides-p", "overrides-delta", "overrides-bool", "spec-q", "spec-bool"],
+)
+def test_a_json_number_that_must_be_an_integer_is_not_truncated(capsys, tmp_path, argv,
+                                                                file_text, message):
+    path = tmp_path / "input.json"
+    path.write_text(file_text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,integral,as_floats",
+    [
+        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
+         '{"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 4}]}',
+         '{"overrides": [{"p": 2.0, "f_val": 3e0, "k_val": "3", "delta": 4.0}]}'),
+        (["uniformity", "--d", "3", "--X", "500", "--X", "2000", "--uniformity-spec"],
+         '{"bins": [{"classes": ["3"], "q": 8, "exponent": "-1/2"}]}',
+         '{"bins": [{"classes": ["3"], "q": 8.0, "exponent": "-1/2"}]}'),
+    ],
+    ids=["overrides", "spec"],
+)
+def test_an_integral_json_number_reads_as_its_integer(capsys, tmp_path, argv, integral,
+                                                      as_floats):
+    outputs = []
+    for text in (integral, as_floats):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        outputs.append(run(capsys, *argv, str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 class _FullTreeOnly(dict):
     """The subcommand table, with no name that ``main`` takes as one alone,
     so every argv goes through ``build_parser().parse_args``."""

@@ -52,6 +52,13 @@ class TestAbelianGroup:
             with pytest.raises(DomainError):
                 AbelianGroup.from_label(bad)
 
+    def test_a_factor_past_the_int_digit_limit_is_a_bad_label(self):
+        # int() refuses more than 4,300 digits; the label is bad, not a crash
+        for label in ["C" + "9" * 5000, "C2xC" + "9" * 5000]:
+            with pytest.raises(DomainError, match="^bad abelian group label: 'C"):
+                AbelianGroup.from_label(label)
+        assert AbelianGroup.from_label("C" + "9" * 4000).order == int("9" * 4000)
+
     def test_order_and_exponent(self):
         g = AbelianGroup.from_label("C2xC4")
         assert g.order == 8

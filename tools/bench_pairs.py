@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -77,6 +78,14 @@ def run_once(tree: str, workload: str, seed: int, seconds: float,
     }
 
 
+def workload_pairs(text: str) -> tuple[str, int]:
+    """``WORKLOAD=N`` as ``(WORKLOAD, N)`` with N >= 1, for ``--pairs``."""
+    match = re.fullmatch(r"([^=]+)=([1-9][0-9]*)", text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=N with N >= 1, not {text!r}")
+    return match[1], int(match[2])
+
+
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, and the change's wins."""
     out = {}
@@ -116,16 +125,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", action="append", required=True,
-                        metavar="WORKLOAD=N", help="run N pairs of WORKLOAD")
+    parser.add_argument("--pairs", action="append", required=True, type=workload_pairs,
+                        metavar="WORKLOAD=N",
+                        help="run N >= 1 pairs of WORKLOAD; each workload once")
     parser.add_argument("--first-seed", type=int, default=801)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--out", required=True, help="BENCH file to write")
     args = parser.parse_args(argv)
-    counts = {}
-    for item in args.pairs:
-        workload, _, n = item.partition("=")
-        counts[workload] = int(n)
+    counts: dict[str, int] = {}
+    for workload, n in args.pairs:
+        if workload in counts:
+            parser.error(f"--pairs names {workload} twice")
+        counts[workload] = n
     trees = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
