@@ -131,10 +131,6 @@ def test_a_bad_pairs_value_is_a_usage_error_before_any_run(monkeypatch, tmp_path
     assert not (tmp_path / "BENCH.json").exists()
 
 
-def test_pairs_values_parse_to_workload_and_count():
-    assert bench_pairs.workload_pairs("census-count=12") == ("census-count", 12)
-
-
 def test_each_workload_runs_its_count_of_pairs(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": METRICS, "per_layer": []}))

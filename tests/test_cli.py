@@ -1033,28 +1033,6 @@ def test_a_json_number_that_must_be_an_integer_is_not_truncated(capsys, tmp_path
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "argv,integral,as_floats",
-    [
-        (["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"],
-         '{"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 4}]}',
-         '{"overrides": [{"p": 2.0, "f_val": 3e0, "k_val": "3", "delta": 4.0}]}'),
-        (["uniformity", "--d", "3", "--X", "500", "--X", "2000", "--uniformity-spec"],
-         '{"bins": [{"classes": ["3"], "q": 8, "exponent": "-1/2"}]}',
-         '{"bins": [{"classes": ["3"], "q": 8.0, "exponent": "-1/2"}]}'),
-    ],
-    ids=["overrides", "spec"],
-)
-def test_an_integral_json_number_reads_as_its_integer(capsys, tmp_path, argv, integral,
-                                                      as_floats):
-    outputs = []
-    for text in (integral, as_floats):
-        path = tmp_path / "input.json"
-        path.write_text(text)
-        outputs.append(run(capsys, *argv, str(path)))
-    assert outputs[0] == outputs[1] and outputs[0][0] == 0
-
-
 class _FullTreeOnly(dict):
     """The subcommand table, with no name that ``main`` takes as one alone,
     so every argv goes through ``build_parser().parse_args``."""
