@@ -545,22 +545,6 @@ def test_override_json_reads_integral_values_as_before():
         assert parse_wild_overrides(f'{{"overrides": [{entry}]}}') == {(2, 3, 2): 4}
 
 
-@pytest.mark.parametrize(
-    "entry,bad",
-    [
-        ('{"p": 2.9, "f_val": 3, "k_val": 2, "delta": 4.7}', "2.9"),
-        ('{"p": 2, "f_val": 3, "k_val": 2, "delta": 4.7}', "4.7"),
-        ('{"p": 2, "f_val": true, "k_val": 2, "delta": 4}', "true"),
-        ('{"p": 2, "f_val": 3, "k_val": 2, "delta": false}', "false"),
-    ],
-)
-def test_override_json_refuses_a_non_integral_number(entry, bad):
-    # truncating 2.9 to 2 would key the override to a prime nobody named
-    with pytest.raises(DomainError) as err:
-        parse_wild_overrides(f'{{"overrides": [{entry}]}}')
-    assert str(err.value) == f"malformed wild overrides: {bad} is not an integer"
-
-
 def test_uniformity_spec_reads_integral_values_as_before():
     three, two = frozenset({CycleType((3,))}), frozenset({CycleType((2, 1))})
     assert parse_uniformity_spec(
@@ -570,13 +554,6 @@ def test_uniformity_spec_reads_integral_values_as_before():
     assert parse_uniformity_spec('{"bins": [{"classes": ["3", "2.1"], "q": "4"}]}') == [
         UniformityBin(three | two, 4)
     ]
-
-
-@pytest.mark.parametrize("q,bad", [("8.9", "8.9"), ("true", "true"), ("0.5", "0.5")])
-def test_uniformity_spec_refuses_a_non_integral_q(q, bad):
-    with pytest.raises(DomainError) as err:
-        parse_uniformity_spec(f'{{"bins": [{{"classes": ["3"], "q": {q}}}]}}')
-    assert str(err.value) == f"malformed uniformity spec: {bad} is not an integer"
 
 
 @pytest.mark.parametrize(
