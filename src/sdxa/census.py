@@ -20,26 +20,27 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
+    INT_MAX_STR_DIGITS,
     DomainError,
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
+    parse_int,
 )
 from .groups import AbelianGroup, factorize, is_prime
 from .indexcalc import delta
 from .perms import CycleType, ind
 
 _SYMMETRIC_GROUPS = {"S3": 3, "S4": 4, "S5": 5}
-_TAME_RE = re.compile(r"^t\(([\d.]+)\)$")
-_WILD_RE = re.compile(r"^w\((\d+)\)$")
-_COVERAGE_RE = re.compile(r"^#coverage\s+group=(\S+)\s+maxdisc=(\d+)\s*$")
+_TAME_RE = re.compile(r"^t\(([0-9.]+)\)$")
+_WILD_RE = re.compile(r"^w\(([0-9]+)\)$")
+_COVERAGE_RE = re.compile(r"^#coverage\s+group=(\S+)\s+maxdisc=([0-9]+)\s*$")
 
 
 def _square_class(n: int, primes: Iterable[int]) -> tuple[int, int]:
@@ -251,7 +252,7 @@ class Dataset:
         for line in self.headers:
             match = _COVERAGE_RE.match(line)
             if match:
-                out[match.group(1)] = int(match.group(2))
+                out[match.group(1)] = parse_int(match.group(2), DomainError, field="maxdisc")
         return out
 
     def group_counts(self) -> dict[str, int]:
@@ -283,29 +284,33 @@ def _group_of_label(label: str) -> AbelianGroup:
     return AbelianGroup.from_label(label)
 
 
+def _cycle_parts(text: str, error: Callable[[str], Exception] = ValueError,
+                 message: str | None = None, field: str | None = None) -> tuple[int, ...]:
+    """The parts of a dotted cycle type such as ``"2.1"``, each read by :func:`parse_int`."""
+    return tuple(parse_int(part, error, message, field) for part in text.split("."))
+
+
 @lru_cache(maxsize=None)
-def _parse_datum(chunk: str) -> LocalDatum | str:
-    """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, or
-    the message of its parse error.  Cached for the length of one
+def _parse_datum(chunk: str) -> LocalDatum:
+    """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, else
+    :class:`RecordParseError` with no line number.  Cached for the length of one
     :func:`load_dataset`, so records of a file that repeat a chunk share a datum."""
     prime_text, _, type_text = chunk.partition(":")
-    try:
-        prime = int(prime_text)
-    except ValueError:
-        return f"bad prime in local datum {chunk!r}"
+    prime = parse_int(prime_text, RecordParseError, f"bad prime in local datum {chunk!r}")
     tame = _TAME_RE.match(type_text)
     wild = _WILD_RE.match(type_text)
     try:
         if tame:
-            parts = tuple(int(p) for p in tame.group(1).split("."))
+            parts = _cycle_parts(tame.group(1), RecordParseError,
+                                 f"bad cycle lengths in {chunk!r}")
             return LocalDatum(prime, tame_class=CycleType(parts))
         if wild:
-            return LocalDatum(prime, wild_valuation=int(wild.group(1)))
+            valuation = parse_int(wild.group(1), RecordParseError,
+                                  f"bad wild valuation in {chunk!r}")
+            return LocalDatum(prime, wild_valuation=valuation)
     except DomainError as exc:
-        return f"bad local datum {chunk!r}: {exc}"
-    except ValueError:  # int() past sys.get_int_max_str_digits()
-        return f"bad {'cycle lengths' if tame else 'wild valuation'} in {chunk!r}"
-    return f"local datum {chunk!r} is neither t(...) nor w(...)"
+        raise RecordParseError(f"bad local datum {chunk!r}: {exc}") from None
+    raise RecordParseError(f"local datum {chunk!r} is neither t(...) nor w(...)")
 
 
 def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
@@ -320,34 +325,26 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
     label, degree_text, group, disc_text, local_text, quad_text = fields
     if not label:
         raise RecordParseError("empty label", line_number)
-    try:
-        degree = int(degree_text)
-        disc = int(disc_text)
-    except ValueError:
-        raise RecordParseError(
-            f"degree/disc must be integers: {degree_text!r}, {disc_text!r}",
-            line_number,
-        ) from None
-    if disc == 0:
-        raise RecordParseError("discriminant must be nonzero", line_number)
-    local: list[LocalDatum] = []
-    if local_text:
-        for chunk in local_text.split(","):
-            datum = _parse_datum(chunk)
-            if isinstance(datum, str):
-                raise RecordParseError(datum, line_number)
-            local.append(datum)
-    try:
-        quads = tuple(int(q) for q in quad_text.split(",")) if quad_text else ()
-    except ValueError:
-        msg = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
-        raise RecordParseError(msg, line_number) from None
+    message = f"degree/disc must be integers: {degree_text!r}, {disc_text!r}"
+    try:  # each RecordParseError below gets its line number in the handler
+        degree = parse_int(degree_text, RecordParseError, message, "degree")
+        disc = parse_int(disc_text, RecordParseError, message, "disc")
+        if disc == 0:
+            raise RecordParseError("discriminant must be nonzero")
+        local = tuple(map(_parse_datum, local_text.split(","))) if local_text else ()
+        quads: tuple[int, ...] = ()
+        if quad_text:
+            message = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
+            quads = tuple(parse_int(q, RecordParseError, message)
+                          for q in quad_text.split(","))
+    except RecordParseError as exc:
+        raise RecordParseError(str(exc), line_number) from None
     record = FieldRecord(
         label=label,
         degree=degree,
         group=group,
         disc=disc,
-        local=tuple(local),
+        local=local,
         quad_subfield_discs=quads,
     )
     if not record.is_symmetric:
@@ -410,9 +407,13 @@ def dump_dataset(dataset: Dataset) -> str:
 WildOverrides = dict[tuple[int, int, int], int]
 
 
-def _integer(value: object) -> int:
-    """``int(value)`` for a JSON value that must be an integer: a boolean or a
-    number with a fractional part is refused, not truncated."""
+def _integer(entry: Any, key: str) -> int:
+    """``entry[key]``, a JSON value that must be an integer: a string is read by
+    :func:`parse_int`, and a boolean or a number with a fractional part is
+    refused, not truncated."""
+    value = entry[key]
+    if isinstance(value, str):
+        return parse_int(value, field=key)
     number = int(value)
     if isinstance(value, bool) or isinstance(value, float) and number != value:
         raise ValueError(f"{json.dumps(value)} is not an integer")
@@ -423,7 +424,7 @@ def _read_json(text: str, lacks: str, malformed: str, parse: Callable[[Any], Any
     """``parse`` of the JSON document ``text``; a missing key is reported as
     "``lacks`` lacks the key ...", any other bad value as "malformed ``malformed``"."""
     try:
-        return parse(json.loads(text))
+        return parse(json.loads(text, parse_int=partial(parse_int, field="an integer")))
     except KeyError as exc:
         raise DomainError(f"{lacks} lacks the key {exc}") from None
     except (ArithmeticError, AttributeError, RecursionError, TypeError, ValueError) as exc:
@@ -434,8 +435,8 @@ def parse_wild_overrides(text: str) -> WildOverrides:
     """The wild overrides a JSON text lists, ``{"overrides": [{"p": .., "f_val":
     .., "k_val": .., "delta": ..}, ...]}``, keyed by ``(p, f_val, k_val)``."""
     table = _read_json(text, "wild override entry", "wild overrides", lambda doc: {
-        (_integer(entry["p"]), _integer(entry["f_val"]), _integer(entry["k_val"])):
-        _integer(entry["delta"])
+        (_integer(entry, "p"), _integer(entry, "f_val"), _integer(entry, "k_val")):
+        _integer(entry, "delta")
         for entry in doc.get("overrides", [])
     })
     if any(value < 0 for value in table.values()):
@@ -622,7 +623,7 @@ def product_order(d: int, group: AbelianGroup) -> int:
     """|A| * d!, the order of S_d x A and the census's wild modulus.  DomainError
     if Python prints no int that long (``sys.get_int_max_str_digits()``, 0 for
     no limit, else >= 640); as d! > 10^d for d >= 25, a d past it skips d!."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = INT_MAX_STR_DIGITS
     order = None if limit and d > limit else group.order * math.factorial(d)
     if order is None or limit and order >= 10**limit:
         raise DomainError(f"|S{d} x {group.label()}| = |A| * d! has over {limit} digits")
@@ -771,8 +772,8 @@ def parse_uniformity_spec(text: str) -> list[UniformityBin]:
     """The bins a JSON text lists, ``{"bins": [{"classes": ["3", "2.1"], "q": ..,
     "exponent": "-1/2"}, ...]}``; the exponent is optional."""
     entries = _read_json(text, "uniformity spec", "uniformity spec", lambda doc: [
-        ([tuple(int(p) for p in cls.split(".")) for cls in entry["classes"]],
-         _integer(entry["q"]),
+        ([_cycle_parts(cls, field="a class") for cls in entry["classes"]],
+         _integer(entry, "q"),
          None if entry.get("exponent") is None else Fraction(str(entry["exponent"])))
         for entry in doc["bins"]
     ])

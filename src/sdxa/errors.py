@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`parse_int`, the one
+reader of integer text, which raises the error its caller names.
 
 Every error raised deliberately by this library derives from :class:`SdxaError`,
 so callers (and the command-line driver) can distinguish domain failures from
@@ -6,6 +7,29 @@ programming errors.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Callable
+
+#: The most digits ``int()`` reads from text, 0 for no limit: read once, as
+#: Python before 3.10.7 has neither the limit nor its getter.
+INT_MAX_STR_DIGITS: int = getattr(sys, "get_int_max_str_digits", int)()
+
+
+def parse_int(text: str, error: Callable[[str], Exception] = ValueError,
+              message: str | None = None, field: str | None = None) -> int:
+    """The integer ``text`` spells in ASCII decimal digits after an optional
+    ``-``, with no ``+``, space, ``_`` or other script's digit.  Other text
+    raises ``error(message)``, by default with ``int()``'s own message; so does
+    text past :data:`INT_MAX_STR_DIGITS` digits, unless ``field`` names it:
+    then ``error("<field> has more than N digits")``."""
+    digits = text.removeprefix("-")
+    if digits.isdigit() and digits.isascii():
+        if not INT_MAX_STR_DIGITS or len(digits) <= INT_MAX_STR_DIGITS:
+            return int(text)
+        if field is not None:
+            raise error(f"{field} has more than {INT_MAX_STR_DIGITS} digits")
+    raise error(message or f"invalid literal for int() with base 10: {text!r:.200}")
 
 
 class SdxaError(Exception):

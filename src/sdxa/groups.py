@@ -20,10 +20,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
-from .errors import DegreeMismatchError, DomainError
+from .errors import DegreeMismatchError, DomainError, parse_int
 from .perms import CycleType, partitions
 
-_LABEL_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
+_LABEL_RE = re.compile(r"^C([0-9]+)(?:xC([0-9]+))*$")
 ClassPair = tuple[CycleType, "AbelianElement"]  # a conjugacy class (g, h) of S_d x A
 
 
@@ -113,14 +113,11 @@ class AbelianGroup:
         >>> AbelianGroup.from_label("C2xC3").invariant_factors
         (6,)
         """
-        if _LABEL_RE.match(label):
-            try:  # int() refuses a factor past sys.get_int_max_str_digits()
-                factors = tuple(int(t[1:]) for t in label.split("x"))
-            except ValueError:
-                pass
-            else:
-                return AbelianGroup(factors)
-        raise DomainError(f"bad abelian group label: {label!r}")
+        message = f"bad abelian group label: {label!r}"
+        if not _LABEL_RE.match(label):
+            raise DomainError(message)
+        tokens = label.split("x")
+        return AbelianGroup(tuple(parse_int(t[1:], DomainError, message) for t in tokens))
 
     @cached_property
     def order(self) -> int:

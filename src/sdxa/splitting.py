@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DomainError, PatternError
+from .errors import DomainError, PatternError, parse_int
 from .groups import (
     AbelianElement,
     AbelianGroup,
@@ -38,7 +38,7 @@ from .groups import (
 from .indexcalc import delta
 from .perms import CycleType, ind, pair_index, partitions
 
-_TOKEN_RE = re.compile(r"^(\d+)\^(?:(\d+)|\{(\d+)\})$")
+_TOKEN_RE = re.compile(r"^([0-9]+)\^(?:([0-9]+)|\{([0-9]+)\})$")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,7 +91,7 @@ def parse_pattern(text: str) -> SplittingPattern:
     ramification index ``e`` (the exponent may be brace-wrapped for multiple
     digits, as in ``1^{10}``); a bare token is a run of single digits, each a
     separate unramified-index factor with that inertial degree (so ``12``
-    means two factors, f=1 and f=2, both with e=1).
+    means two factors, f=1 and f=2, both with e=1).  Digits are ASCII ``0-9``.
 
     >>> parse_pattern("(1^2 12)").factors
     ((2, 1), (1, 2), (1, 1))
@@ -107,21 +107,21 @@ def parse_pattern(text: str) -> SplittingPattern:
     for token in stripped[1:-1].split():
         match = _TOKEN_RE.match(token)
         if match:
-            f = int(match.group(1))
-            e = int(match.group(2) or match.group(3))
+            f = parse_int(match.group(1), PatternError, field="inertial degree")
+            e = parse_int(match.group(2) or match.group(3), PatternError,
+                          field="ramification index")
             if f == 0 or e == 0:
                 raise PatternError(f"zero entry in token {token!r}")
             factors.append((e, f))
-        elif token.isdigit():
-            for char in token:
-                if char == "0":
-                    raise PatternError(
-                        f"inertial degree 0 in token {token!r}; "
-                        "degrees >= 10 need an explicit exponent (e.g. 10^1)"
-                    )
-                factors.append((1, int(char)))
-        else:
-            raise PatternError(f"malformed token {token!r} in {text!r}")
+            continue
+        malformed = f"malformed token {token!r} in {text!r}"
+        degrees = [parse_int(char, PatternError, malformed) for char in token]
+        if 0 in degrees:
+            raise PatternError(
+                f"inertial degree 0 in token {token!r}; "
+                "degrees >= 10 need an explicit exponent (e.g. 10^1)"
+            )
+        factors.extend((1, f) for f in degrees)
     if not factors:
         raise PatternError(f"empty pattern: {text!r}")
     return SplittingPattern(tuple(factors))

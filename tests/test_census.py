@@ -14,6 +14,7 @@ Independent oracles used here:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from sdxa import census
 from sdxa.census import (
     ComposeResult,
     Dataset,
@@ -46,6 +48,7 @@ from sdxa.census import (
     truncated_magnitude,
 )
 from sdxa.errors import (
+    INT_MAX_STR_DIGITS,
     DomainError,
     InsufficientDataError,
     RecordParseError,
@@ -538,6 +541,13 @@ def test_override_json_rejects_negative_delta():
         parse_wild_overrides('{"overrides": [{"p":2,"f_val":1,"k_val":1,"delta":-1}]}')
 
 
+def test_override_json_accepts_a_zero_delta():
+    # delta = 0 is a discrepancy like any other; only a negative one is refused
+    assert parse_wild_overrides(
+        '{"overrides": [{"p": 2, "f_val": 3, "k_val": 2, "delta": 0}]}'
+    ) == {(2, 3, 2): 0}
+
+
 def test_override_json_reads_integral_values_as_before():
     assert parse_wild_overrides('{"overrides": []}') == parse_wild_overrides("{}") == {}
     for entry in ('{"p": 2, "f_val": 3, "k_val": 2, "delta": 4}',
@@ -672,6 +682,27 @@ def test_count_N_coverage_warnings():
     assert any("no coverage assertion for group C2" in w for w in warnings)
 
 
+def test_count_N_coverage_warning_names_the_disc_the_cutoff_needs():
+    # X = 10^5 needs |disc| up to ceil(10^(5/2)) = 317 for S3 (|A| = 2) and
+    # ceil(10^(5/3)) = 47 for C2 (d = 3); neither root is an integer
+    assert count_N(toy_dataset(), 3, C2, 10**5).warnings == (
+        "X = 100000 needs S3 records up to |disc| = 317, coverage asserts only 200",
+        "X = 100000 needs C2 records up to |disc| = 47, coverage asserts only 10",
+    )
+
+
+def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
+    n = INT_MAX_STR_DIGITS
+    with pytest.raises(DomainError, match=f"^maxdisc has more than {n} digits$"):
+        load_dataset(f"#coverage group=S3 maxdisc={'9' * (n + 1)}\n").coverage
+    assert load_dataset(f"#coverage group=S3 maxdisc={'9' * n}\n").coverage == {
+        "S3": int("9" * n)
+    }
+    # a bound in other digits, or with a sign or "_", makes no coverage header
+    for bound in ("٢٠٠٠", "+2000", "2_000"):
+        assert load_dataset(f"#coverage group=S3 maxdisc={bound}\n").coverage == {}
+
+
 def test_count_N_rejects_bad_x():
     with pytest.raises(DomainError):
         count_N(toy_dataset(), 3, C2, 0)
@@ -784,6 +815,27 @@ def test_uniformity_two_bins_multiply():
     )
     # only u2 has both a (3)-prime in [7,14) and a (2,1)-prime in [13,26)
     assert rows[0].count == 1
+
+
+def test_uniformity_bin_counts_products_of_neighbouring_primes():
+    # 5, 7 and 11 all carry (2,1): in [32, 64) lie 5*7 = 35 and 5*11 = 55
+    data = load_dataset("v1;3;S3;-385;5:t(2.1),7:t(2.1),11:t(2.1);\n")
+    rows = measure_uniformity(
+        data, 3, [UniformityBin(classes=frozenset({CycleType((2, 1))}), q=32)], [1000]
+    )
+    assert rows[0].count == 2
+
+
+def test_subset_products_in_range_counts_every_subset_in_low_to_high():
+    primes = [5, 7, 11, 13]
+    products = [math.prod(c) for r in range(len(primes) + 1)
+                for c in itertools.combinations(primes, r)]
+    assert census._subset_products_in_range(primes[:3], 35, 77) == 2  # 35, 55
+    assert census._subset_products_in_range(primes[:3], 35, 78) == 3  # and 77
+    bounds = sorted({b for product in products for b in (product, product + 1)})
+    for low, high in itertools.combinations_with_replacement(bounds, 2):
+        expected = sum(low <= product < high for product in products)
+        assert census._subset_products_in_range(primes, low, high) == expected
 
 
 def test_uniformity_ratio_uses_exponents():

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from sdxa import census, cli, groups, indexcalc, perms, splitting
 from sdxa.census import ingest
+from sdxa.errors import INT_MAX_STR_DIGITS
 from sdxa.groups import AbelianGroup
 from sdxa.splitting import generate_table
 
@@ -1030,6 +1031,90 @@ def test_a_json_number_that_must_be_an_integer_is_not_truncated(capsys, tmp_path
     path = tmp_path / "input.json"
     path.write_text(file_text)
     code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+N = INT_MAX_STR_DIGITS
+PAST = "9" * (N + 1)  # one digit past what int() reads
+ON_RECORDS = ["census", "--d", "3", "--A", "C2", "--X", "100", "--dataset"]
+WITH_OVERRIDES = ["compose", "--F", "3.-104.1", "--K", "2.8.1", "--wild-overrides"]
+WITH_SPEC = ["uniformity", "--d", "3", "--X", "100", "--uniformity-spec"]
+
+
+def _override(**values):
+    return json.dumps({"overrides": [{"p": 2, "f_val": 3, "k_val": 3, "delta": 4, **values}]})
+
+
+def _spec(**values):
+    return json.dumps({"bins": [{"classes": ["3"], "q": 8, **values}]})
+
+
+# One integer field per case: a value one digit past the limit, and a value
+# that \d and int() took but is not ASCII digits after an optional "-".
+INTEGER_FIELDS = {
+    "coverage-past-limit": (ON_RECORDS, f"#coverage group=S3 maxdisc={PAST}\n",
+                            f"maxdisc has more than {N} digits"),
+    "degree-past-limit": (ON_RECORDS, f"a;{PAST};S3;-23;23:t(2.1);\n",
+                          f"line 1: degree has more than {N} digits"),
+    "degree-plus": (ON_RECORDS, "a;+3;S3; -23 ;٢٣:t(٢.١);\n",
+                    "line 1: degree/disc must be integers: '+3', ' -23 '"),
+    "disc-past-limit": (ON_RECORDS, f"a;3;S3;-{PAST};23:t(2.1);\n",
+                        f"line 1: disc has more than {N} digits"),
+    "disc-underscore": (ON_RECORDS, "a;3;S3;-2_3;23:t(2.1);\n",
+                        "line 1: degree/disc must be integers: '3', '-2_3'"),
+    "prime-past-limit": (ON_RECORDS, f"a;3;S3;-23;{PAST}:t(2.1);\n",
+                         f"line 1: bad prime in local datum '{PAST}:t(2.1)'"),
+    "prime-arabic": (ON_RECORDS, "a;3;S3;-23;٢٣:t(2.1);\n",
+                     "line 1: bad prime in local datum '٢٣:t(2.1)'"),
+    "cycle-past-limit": (ON_RECORDS, f"a;3;S3;-23;23:t(2.{PAST});\n",
+                         f"line 1: bad cycle lengths in '23:t(2.{PAST})'"),
+    "cycle-arabic": (ON_RECORDS, "a;3;S3;-23;23:t(٢.١);\n",
+                     "line 1: local datum '23:t(٢.١)' is neither t(...) nor w(...)"),
+    "cycle-empty-part": (ON_RECORDS, "a;3;S3;-23;23:t(2..1);\n",
+                         "line 1: bad cycle lengths in '23:t(2..1)'"),
+    "wild-past-limit": (ON_RECORDS, f"a;3;S3;-104;2:w({PAST}),13:t(2.1);\n",
+                        f"line 1: bad wild valuation in '2:w({PAST})'"),
+    "wild-underscore": (ON_RECORDS, "a;3;S3;-104;2:w(3_0),13:t(2.1);\n",
+                        "line 1: local datum '2:w(3_0)' is neither t(...) nor w(...)"),
+    "quad-past-limit": (ON_RECORDS, f"2.5.1;2;C2;5;5:t(2);{PAST}\n",
+                        f"line 1: quadratic-subfield discriminants must be integers: '{PAST}'"),
+    "quad-plus": (ON_RECORDS, "2.5.1;2;C2;5;5:t(2);+5\n",
+                  "line 1: quadratic-subfield discriminants must be integers: '+5'"),
+    "record-label-arabic": (ON_RECORDS, "2.5.1;2;C٥;5;5:t(2);5\n",
+                            "line 1: unknown group label 'C٥'"),
+    "label-arabic": (["invariants", "--d", "3", "--A", "C٢"], None,
+                     "bad abelian group label: 'C٢'"),
+    "override-underscore": (WITH_OVERRIDES, _override(k_val="2_0"),
+                            "malformed wild overrides: invalid literal for int() with base 10: "
+                            "'2_0'"),
+    "override-arabic": (WITH_OVERRIDES, _override(delta="٣"),
+                        "malformed wild overrides: invalid literal for int() with base 10: '٣'"),
+    "override-past-limit": (WITH_OVERRIDES, _override(p=PAST),
+                            f"malformed wild overrides: p has more than {N} digits"),
+    "override-number-past-limit": (WITH_OVERRIDES, '{"overrides": [{"p": %s}]}' % PAST,
+                                   f"malformed wild overrides: an integer has more than {N} "
+                                   "digits"),
+    "spec-class-spaces": (WITH_SPEC, _spec(classes=[" 2.1"]),
+                          "malformed uniformity spec: invalid literal for int() with base 10: "
+                          "' 2'"),
+    "spec-class-past-limit": (WITH_SPEC, _spec(classes=["2." + PAST]),
+                              f"malformed uniformity spec: a class has more than {N} digits"),
+    "spec-q-plus": (WITH_SPEC, _spec(q="+8"),
+                    "malformed uniformity spec: invalid literal for int() with base 10: '+8'"),
+    "spec-q-past-limit": (WITH_SPEC, _spec(q=PAST),
+                          f"malformed uniformity spec: q has more than {N} digits"),
+}
+
+
+@pytest.mark.parametrize("argv,file_text,message", INTEGER_FIELDS.values(),
+                         ids=INTEGER_FIELDS.keys())
+def test_an_integer_field_reads_ascii_digits_up_to_the_limit(capsys, tmp_path, argv,
+                                                             file_text, message):
+    if file_text is not None:
+        path = tmp_path / "input"
+        path.write_text(file_text, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdxa.errors import DegreeMismatchError, DomainError
+from sdxa.errors import INT_MAX_STR_DIGITS, DegreeMismatchError, DomainError
 from sdxa.groups import (
     AbelianGroup,
     MalleInvariants,
@@ -58,6 +58,15 @@ class TestAbelianGroup:
             with pytest.raises(DomainError, match="^bad abelian group label: 'C"):
                 AbelianGroup.from_label(label)
         assert AbelianGroup.from_label("C" + "9" * 4000).order == int("9" * 4000)
+
+    def test_a_factor_is_ascii_digits_up_to_the_limit(self):
+        # \d and int() also take other scripts' digits, "+", "_" and spaces
+        for bad in ["C٢", "C２", "C2xC٣", "C+2", "C2_0", "C 2", "C2\n",
+                    "C" + "9" * (INT_MAX_STR_DIGITS + 1)]:
+            with pytest.raises(DomainError, match="^bad abelian group label: 'C"):
+                AbelianGroup.from_label(bad)
+        at_limit = "9" * INT_MAX_STR_DIGITS
+        assert AbelianGroup.from_label("C" + at_limit).order == int(at_limit)
 
     def test_order_and_exponent(self):
         g = AbelianGroup.from_label("C2xC4")

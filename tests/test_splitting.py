@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
 from sdxa import groups, perms
-from sdxa.errors import DomainError, PatternError
+from sdxa.errors import INT_MAX_STR_DIGITS, DomainError, PatternError
 from sdxa.groups import (
     AbelianGroup,
     element_order,
@@ -92,6 +92,24 @@ class TestParseFormat:
             with pytest.raises(PatternError):
                 parse_pattern(bad)
 
+    def test_digits_are_ascii_digits(self):
+        # "²".isdigit() holds, and \d and int() take other scripts' digits
+        for bad in ["(²)", "(1²)", "(٢)", "(١^٢)", "(1^{٢})", "(1^+2)", "(1^2_0)", "(٠a)"]:
+            with pytest.raises(PatternError, match="^malformed token"):
+                parse_pattern(bad)
+
+    def test_an_entry_past_the_int_digit_limit_is_a_pattern_error(self):
+        n = INT_MAX_STR_DIGITS
+        past = "9" * (n + 1)
+        with pytest.raises(PatternError, match=f"^inertial degree has more than {n} digits$"):
+            parse_pattern(f"({past}^1)")
+        for token in (f"1^{past}", f"1^{{{past}}}"):
+            with pytest.raises(PatternError,
+                               match=f"^ramification index has more than {n} digits$"):
+                parse_pattern(f"({token})")
+        # a bare token is one integer per digit, so no length limits it
+        assert parse_pattern("(" + "1" * (n + 1) + ")").degree == n + 1
+
     def test_large_inertial_degree_round_trip(self):
         p = SplittingPattern(((1, 10),))
         assert format_pattern(p) == "(10^1)"
@@ -145,11 +163,15 @@ def _orbit_pattern(iota: tuple[int, ...], phi: tuple[int, ...]) -> SplittingPatt
     """Factor the point set into decomposition orbits of <iota, phi> and count
     the inertia (iota-)orbits inside each."""
     inertia_size = {}
-    for start in range(len(iota)):
-        size, point = 1, iota[start] - 1
+    for start in range(len(iota)):  # walk each inertia cycle once
+        if start in inertia_size:
+            continue
+        cycle, point = [start], iota[start] - 1
         while point != start:
-            size, point = size + 1, iota[point] - 1
-        inertia_size[start] = size
+            cycle.append(point)
+            point = iota[point] - 1
+        for point in cycle:
+            inertia_size[point] = len(cycle)
     seen = [False] * len(iota)
     factors: list[tuple[int, int]] = []
     for start in range(len(iota)):
