@@ -20,14 +20,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
     INT_MAX_STR_DIGITS,
     DomainError,
+    Frozen,
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
@@ -73,22 +74,23 @@ def fundamental_discriminant(disc: int) -> int:
     return _square_class(disc, factorize(abs(disc)) if disc else ())[0]
 
 
-@dataclass(frozen=True)
-class LocalDatum:
+class LocalDatum(Frozen, namedtuple("LocalDatum", "prime tame_class wild_valuation")):
     """Ramification data at one prime: either a tame inertia class or a bare
     wild discriminant valuation."""
 
     prime: int
-    tame_class: CycleType | None = None
-    wild_valuation: int | None = None
+    tame_class: CycleType | None
+    wild_valuation: int | None
 
-    def __post_init__(self) -> None:
-        if self.prime < 2:
-            raise DomainError(f"prime {self.prime} is below 2")
-        if (self.tame_class is None) == (self.wild_valuation is None):
+    def __new__(cls, prime: int, tame_class: CycleType | None = None,
+                wild_valuation: int | None = None) -> LocalDatum:
+        if prime < 2:
+            raise DomainError(f"prime {prime} is below 2")
+        if (tame_class is None) == (wild_valuation is None):
             raise DomainError("exactly one of tame_class/wild_valuation is required")
-        if self.wild_valuation is not None and self.wild_valuation < 1:
+        if wild_valuation is not None and wild_valuation < 1:
             raise DomainError("a wild datum must carry a positive valuation")
+        return super().__new__(cls, prime, tame_class, wild_valuation)
 
     @property
     def is_tame(self) -> bool:
@@ -143,8 +145,8 @@ def _datum_problem(
         return f"local datum at {prime}: {exc}"
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(Frozen, namedtuple("FieldRecord", "label degree group disc local "
+                                      "quad_subfield_discs", defaults=((),))):
     """One census entry: a number field described by its degree, Galois
     group label, signed discriminant, local data at every ramified prime,
     and (for abelian records) the fundamental discriminants of its quadratic
@@ -155,7 +157,7 @@ class FieldRecord:
     group: str
     disc: int
     local: tuple[LocalDatum, ...]
-    quad_subfield_discs: tuple[int, ...] = ()
+    quad_subfield_discs: tuple[int, ...]  # default ()
 
     @cached_property
     def is_symmetric(self) -> bool:
@@ -238,13 +240,12 @@ class FieldRecord:
         )
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
     """An immutable collection of validated field records plus the header
     lines (including coverage assertions) of the file they came from."""
 
     records: tuple[FieldRecord, ...]
-    headers: tuple[str, ...] = ()
+    headers: tuple[str, ...]  # default ()
 
     @property
     def coverage(self) -> dict[str, int]:
@@ -444,8 +445,7 @@ def parse_wild_overrides(text: str) -> WildOverrides:
     return table
 
 
-@dataclass(frozen=True)
-class PrimeBreakdown:
+class PrimeBreakdown(Frozen, namedtuple("PrimeBreakdown", "prime v_f v_k delta_p v_fk")):
     """Per-prime composition detail: the two input valuations, the
     discrepancy applied (None when unresolved), and the output valuation."""
 
@@ -456,17 +456,8 @@ class PrimeBreakdown:
     v_fk: int
 
 
-class _ComposeFields(NamedTuple):
-    magnitude: int
-    naive_magnitude: int
-    lower_bound: int
-    unresolved_primes: tuple[int, ...]
-    shared: tuple[tuple[int, int | None], ...]
-    f_record: FieldRecord
-    k_record: FieldRecord
-
-
-class ComposeResult(_ComposeFields):
+class ComposeResult(Frozen, namedtuple("ComposeResult", "magnitude naive_magnitude "
+                                        "lower_bound unresolved_primes shared f_record k_record")):
     """Composed discriminant magnitude for one (F, K) pair.
 
     ``magnitude`` applies every resolved discrepancy and zero at unresolved
@@ -477,16 +468,15 @@ class ComposeResult(_ComposeFields):
     [lower_bound, naive_magnitude].  ``shared`` holds ``(prime, delta_p)`` at
     each prime where both records ramify, the only primes with a discrepancy;
     ``breakdown`` is derived from it and the two records on first access.
-    A tuple, cheap to build, with a frozen dataclass's assignment, equality and hash.
     """
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ComposeResult and tuple.__eq__(self, other)
-
-    __delattr__, __ne__, __hash__ = __setattr__, object.__ne__, tuple.__hash__
+    magnitude: int
+    naive_magnitude: int
+    lower_bound: int
+    unresolved_primes: tuple[int, ...]
+    shared: tuple[tuple[int, int | None], ...]
+    f_record: FieldRecord
+    k_record: FieldRecord
 
     @property
     def exact(self) -> bool:
@@ -596,8 +586,8 @@ def linearly_disjoint(f_record: FieldRecord, k_record: FieldRecord) -> bool:
     return f_record.fundamental_disc not in k_record.quad_subfield_discs
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(Frozen, namedtuple("CensusResult", "x count flagged_wild_pairs "
+                                       "fit_constant warnings y", defaults=((), None))):
     """Outcome of a census count: the exact count over resolved pairs, the
     number of flagged pairs whose unresolved wild overlap leaves their
     membership uncertain (the true count lies in
@@ -608,8 +598,8 @@ class CensusResult:
     count: int
     flagged_wild_pairs: int
     fit_constant: float
-    warnings: tuple[str, ...] = ()
-    y: int | None = None
+    warnings: tuple[str, ...]  # default ()
+    y: int | None  # default None
 
 
 def missing_coverage(dataset: Dataset, label: str) -> list[str]:
@@ -751,21 +741,22 @@ def count_N_truncated(
     return _count(dataset, d, group, x, y, overrides)
 
 
-@dataclass(frozen=True)
-class UniformityBin:
+class UniformityBin(Frozen, namedtuple("UniformityBin", "classes q exponent")):
     """One dyadic constraint: primes carrying any of ``classes`` must appear
     with squarefree product in [q, 2q); ``exponent`` is an optional comparison
     exponent for the reported ratio."""
 
     classes: frozenset[CycleType]
     q: int
-    exponent: Fraction | None = None
+    exponent: Fraction | None
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
+    def __new__(cls, classes: frozenset[CycleType], q: int,
+                exponent: Fraction | None = None) -> UniformityBin:
+        if q < 1:
             raise DomainError("dyadic base must be >= 1")
-        if not self.classes:
+        if not classes:
             raise DomainError("a bin needs at least one inertia class")
+        return super().__new__(cls, classes, q, exponent)
 
 
 def parse_uniformity_spec(text: str) -> list[UniformityBin]:
@@ -783,8 +774,7 @@ def parse_uniformity_spec(text: str) -> list[UniformityBin]:
     ]
 
 
-@dataclass(frozen=True)
-class UniformityRow:
+class UniformityRow(Frozen, namedtuple("UniformityRow", "x count ratio")):
     x: int
     count: int
     ratio: float | None

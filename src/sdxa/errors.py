@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and :func:`parse_int`, the one
-reader of integer text, which raises the error its caller names.
+"""Exception types shared across the package, :class:`Frozen`, the base of every
+value type, and :func:`parse_int`, the one reader of integer text.
 
 Every error raised deliberately by this library derives from :class:`SdxaError`,
 so callers (and the command-line driver) can distinguish domain failures from
@@ -30,6 +30,40 @@ def parse_int(text: str, error: Callable[[str], Exception] = ValueError,
         if field is not None:
             raise error(f"{field} has more than {INT_MAX_STR_DIGITS} digits")
     raise error(message or f"invalid literal for int() with base 10: {text!r:.200}")
+
+
+class FrozenInstanceError(AttributeError):
+    """A value's attribute was assigned or deleted: a bug, so not an :class:`SdxaError`."""
+
+
+def _within_one_type(compare: Callable[[tuple, tuple], bool]) -> Callable[..., bool]:
+    """``compare`` as an ordering method of :class:`Frozen`."""
+    def method(self: Frozen, other: object) -> bool:
+        if self._ordered and type(other) is type(self):
+            return compare(self, other)  # type: ignore[arg-type]
+        raise TypeError(f"{type(self).__name__} is not ordered against {type(other).__name__}")
+    return method
+
+
+class Frozen:
+    """The base of a value type, ahead of the ``namedtuple`` of its fields: no
+    attribute is assigned or deleted, a value equals and hashes as a tuple but
+    only against its own type, and orders so (if ``_ordered``) or not at all.
+    ``_make``, and so ``_replace``, calls the constructor, which checks every copy."""
+
+    __slots__ = ()
+    _ordered = False
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)  # type: ignore[arg-type]
+
+    __lt__, __le__, __gt__, __ge__ = map(_within_one_type, (tuple.__lt__, tuple.__le__,
+                                                            tuple.__gt__, tuple.__ge__))
+    __delattr__, __ne__, __hash__ = __setattr__, object.__ne__, tuple.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class SdxaError(Exception):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
-from .errors import DegreeMismatchError, DomainError, parse_int
+from .errors import DegreeMismatchError, DomainError, Frozen, parse_int
 from .perms import CycleType, partitions
 
 _LABEL_RE = re.compile(r"^C([0-9]+)(?:xC([0-9]+))*$")
@@ -89,8 +89,7 @@ def _normalize_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c for c in chain if c > 1)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen, namedtuple("AbelianGroup", "invariant_factors")):
     """A finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is a chain d_1 | d_2 | ... | d_r with every d_i >= 2;
@@ -101,10 +100,10 @@ class AbelianGroup:
 
     invariant_factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        normalized = _normalize_invariant_factors(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", normalized)
-        object.__setattr__(self, "_elements_by_order", {})  # element_of_order's memo
+    def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
+        self = super().__new__(cls, _normalize_invariant_factors(invariant_factors))
+        vars(self)["_elements_by_order"] = {}  # element_of_order's memo
+        return self
 
     @staticmethod
     def from_label(label: str) -> "AbelianGroup":
@@ -168,22 +167,20 @@ class AbelianGroup:
         return self.label()
 
 
-@dataclass(frozen=True)
-class AbelianElement:
+class AbelianElement(Frozen, namedtuple("AbelianElement", "group residues")):
     """An element of an :class:`AbelianGroup` as a reduced residue vector."""
 
     group: AbelianGroup
     residues: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        factors = self.group.invariant_factors
-        if len(self.residues) != len(factors):
+    def __new__(cls, group: AbelianGroup, residues: tuple[int, ...]) -> AbelianElement:
+        factors = group.invariant_factors
+        if len(residues) != len(factors):
             raise DegreeMismatchError(
-                f"residue vector length {len(self.residues)} does not match "
+                f"residue vector length {len(residues)} does not match "
                 f"group rank {len(factors)}"
             )
-        reduced = tuple(a % d for a, d in zip(self.residues, factors))
-        object.__setattr__(self, "residues", reduced)
+        return super().__new__(cls, group, tuple(a % d for a, d in zip(residues, factors)))
 
     @property
     def is_identity(self) -> bool:
@@ -339,8 +336,7 @@ def cyclotomic_class_orbits(
     return list(orbits)
 
 
-@dataclass(frozen=True)
-class MalleInvariants:
+class MalleInvariants(Frozen, namedtuple("MalleInvariants", "a exponent b")):
     """Minimal-index data governing the conjectured growth rate of field
     counts: the count grows like X^(1/a) * (log X)^(b-1)."""
 
@@ -348,9 +344,10 @@ class MalleInvariants:
     exponent: Fraction
     b: int
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __new__(cls, a: int, exponent: Fraction, b: int) -> MalleInvariants:
+        if a < 1 or b < 1:
             raise DomainError("invariants require a >= 1 and b >= 1")
+        return super().__new__(cls, a, exponent, b)
 
 
 def malle_invariants_product(d: int, group: AbelianGroup) -> MalleInvariants:

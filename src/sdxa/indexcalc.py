@@ -16,13 +16,14 @@ A = ``h.group`` off it; a function over all classes takes ``(d, group[, r])``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
     DivergentSeriesError,
     DomainError,
+    Frozen,
     MissingExponentError,
 )
 from .groups import (
@@ -74,8 +75,8 @@ def delta_closed_form(g: CycleType, h: CycleType) -> int:
     )
 
 
-@dataclass(frozen=True)
-class IndexComparison:
+class IndexComparison(Frozen, namedtuple(
+        "IndexComparison", "lhs rhs equality divisibility_criterion")):
     """Both sides of the fundamental index inequality for a pair (g, h).
 
     ``lhs`` is ``|A| * ind(g)`` (the h = identity value), ``rhs`` is the true
@@ -172,8 +173,7 @@ def exponent_presets(d: int, epsilon: Fraction = Fraction(1, 1000)) -> dict[Cycl
     raise DomainError("presets exist only for d in {3, 4, 5}")
 
 
-@dataclass(frozen=True)
-class BetaResult:
+class BetaResult(Frozen, namedtuple("BetaResult", "value attained per_class")):
     """The combined exponent and its per-class breakdown.
 
     ``per_class`` lists every class with both components nontrivial together
@@ -184,7 +184,10 @@ class BetaResult:
 
     value: Fraction
     attained: tuple[ClassPair, ...]
-    per_class: tuple[tuple[ClassPair, Fraction], ...] = field(repr=False)
+    per_class: tuple[tuple[ClassPair, Fraction], ...]
+
+    def __repr__(self) -> str:  # without per_class, one entry per class
+        return f"{type(self).__name__}(value={self.value!r}, attained={self.attained!r})"
 
 
 def beta(d: int, group: AbelianGroup, r: dict[CycleType, Fraction]) -> BetaResult:
@@ -255,8 +258,7 @@ def hypothesis_b_margin(
     return margins
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Frozen, namedtuple("TailEstimate", "value comparator r_start terms")):
     """Value of the dyadic tail series next to its closed-form comparator."""
 
     value: float

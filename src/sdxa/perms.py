@@ -18,18 +18,17 @@ to call concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 
 #: Guard for the brute-force product construction: the embedded permutation
 #: acts on ``m * n`` points, and this cap keeps exhaustive oracles desk-scale.
 MAX_PRODUCT_DEGREE = 10_000
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Frozen, namedtuple("CycleType", "parts")):
     """An integer partition recording a permutation's cycle lengths.
 
     ``parts`` is canonically sorted in descending order; two cycle types are
@@ -39,12 +38,10 @@ class CycleType:
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"parts must be positive: {self.parts!r}")
-        canonical = tuple(sorted(self.parts, reverse=True))
-        if self.parts != canonical:
-            object.__setattr__(self, "parts", canonical)
+    def __new__(cls, parts: tuple[int, ...]) -> CycleType:
+        if any(p < 1 for p in parts):
+            raise DomainError(f"parts must be positive: {parts!r}")
+        return super().__new__(cls, tuple(sorted(parts, reverse=True)))
 
     @property
     def degree(self) -> int:

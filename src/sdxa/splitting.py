@@ -22,12 +22,12 @@ and A = ``h.group`` off it; a table, over all classes, takes ``(d, group)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DomainError, PatternError, parse_int
+from .errors import DomainError, Frozen, PatternError, parse_int
 from .groups import (
     AbelianElement,
     AbelianGroup,
@@ -41,22 +41,20 @@ from .perms import CycleType, ind, pair_index, partitions
 _TOKEN_RE = re.compile(r"^([0-9]+)\^(?:([0-9]+)|\{([0-9]+)\})$")
 
 
-@dataclass(frozen=True, order=True)
-class SplittingPattern:
+class SplittingPattern(Frozen, namedtuple("SplittingPattern", "factors")):
     """A multiset of (e, f) factor pairs, held in descending lexicographic
     order of (e, f); patterns sort by that tuple of factors."""
 
     factors: tuple[tuple[int, int], ...]
+    _ordered = True
 
-    def __post_init__(self) -> None:
-        for e, f in self.factors:
+    def __new__(cls, factors: tuple[tuple[int, int], ...]) -> SplittingPattern:
+        for e, f in factors:
             if e < 1 or f < 1:
                 raise DomainError(f"factor ({e},{f}) must have positive entries")
-        if not self.factors:
+        if not factors:
             raise DomainError("a splitting pattern needs at least one factor")
-        canonical = tuple(sorted(self.factors, reverse=True))
-        if self.factors != canonical:
-            object.__setattr__(self, "factors", canonical)
+        return super().__new__(cls, tuple(sorted(factors, reverse=True)))
 
     @property
     def degree(self) -> int:
@@ -272,8 +270,8 @@ def remark_formula(pattern_f: SplittingPattern, pattern_k: SplittingPattern) -> 
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen, namedtuple(
+        "TableRow", "generator f_splitting fk_splitting v_disc_f v_disc_fk delta")):
     """One line of a discriminant-valuation table: an inertia class for the
     degree-d field, the patterns it allows on both sides, and the three
     valuation columns."""
@@ -286,8 +284,7 @@ class TableRow:
     delta: int
 
 
-@dataclass(frozen=True)
-class ValuationTable:
+class ValuationTable(Frozen, namedtuple("ValuationTable", "d group rows delta_cap")):
     """A full table for one (d, prime-cyclic group) pair, with the caption
     bound ``delta_cap`` = the largest discrepancy any row can carry."""
 

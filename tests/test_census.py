@@ -50,6 +50,7 @@ from sdxa.census import (
 from sdxa.errors import (
     INT_MAX_STR_DIGITS,
     DomainError,
+    FrozenInstanceError,
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
@@ -1364,10 +1365,8 @@ RECORD_FIELDS = ("label", "degree", "group", "disc", "local", "quad_subfield_dis
 
 
 def test_per_record_facts_are_kept_outside_the_fields(bundled):
-    import dataclasses
-
     assert all("is_symmetric" in vars(r) for r in bundled.records)
-    assert tuple(f.name for f in dataclasses.fields(FieldRecord)) == RECORD_FIELDS
+    assert FieldRecord._fields == RECORD_FIELDS
     for parsed in (bundled.get("3.-104.1"), bundled.by_group("C2")[0]):
         built = FieldRecord(*(getattr(parsed, name) for name in RECORD_FIELDS))
         assert "is_symmetric" not in vars(built)
@@ -1375,7 +1374,7 @@ def test_per_record_facts_are_kept_outside_the_fields(bundled):
         assert repr(built) == repr(parsed)
         assert built.serialize() == parsed.serialize()
     cubic = bundled.get("3.-104.1")
-    relabelled = dataclasses.replace(cubic, group="C6")
+    relabelled = cubic._replace(group="C6")
     assert "is_symmetric" not in vars(relabelled)
     assert cubic.is_symmetric and not relabelled.is_symmetric
 
@@ -1420,10 +1419,8 @@ def test_record_caches_are_built_on_first_access():
 
 
 def test_compose_result_is_frozen(bundled):
-    import dataclasses
-
     result = compose_disc(bundled.get("3.-104.1"), bundled.by_group("C2")[0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         result.magnitude = 0
     assert "breakdown" not in vars(result)
 
@@ -1440,8 +1437,6 @@ COMPOSE_FIELDS = (
 
 
 def test_compose_result_compares_as_a_frozen_dataclass(bundled):
-    import dataclasses
-
     f_rec, k_rec = bundled.get("3.-104.1"), bundled.by_group("C2")[0]
     first, second = compose_disc(f_rec, k_rec), compose_disc(f_rec, k_rec)
     assert first is not second
@@ -1453,9 +1448,9 @@ def test_compose_result_compares_as_a_frozen_dataclass(bundled):
     assert first != fields and fields != first
     assert not first == fields and not fields == first
     for name in COMPOSE_FIELDS:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             delattr(first, name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         first.breakdown = ()
     assert "breakdown" not in vars(first)
     breakdown = first.breakdown

@@ -4,17 +4,22 @@ A value cannot have a field assigned or deleted; it equals, and hashes like,
 only a value of its own type with the same fields, never a plain tuple; only
 ``SplittingPattern`` is ordered, and only against its own type; its ``repr``
 is pinned; and every check or normalisation of the constructor also applies to
-a copy made with the replace API.
+a copy made with the replace API, ``_replace`` or ``_make``.  Every type is a
+:class:`sdxa.errors.Frozen` ahead of a ``namedtuple`` of its fields, which its
+class body annotates in the same order.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
+import json
 import operator
+import os
 import pickle
-from dataclasses import FrozenInstanceError
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,25 +34,29 @@ from sdxa.census import (
     UniformityRow,
     compose_disc,
 )
-from sdxa.errors import DegreeMismatchError, DomainError
+from sdxa.errors import DegreeMismatchError, DomainError, Frozen, FrozenInstanceError
 from sdxa.groups import AbelianElement, AbelianGroup, MalleInvariants
 from sdxa.indexcalc import BetaResult, IndexComparison, TailEstimate
 from sdxa.perms import CycleType
 from sdxa.splitting import SplittingPattern, TableRow, ValuationTable
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def fields(value) -> dict:
     """The fields of ``value`` by name, in their order."""
-    if isinstance(value, tuple):
-        return value._asdict()
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return value._asdict()
 
 
 def replace(value, **changes):
     """A copy of ``value`` with ``changes``, through the type's replace API."""
-    if isinstance(value, tuple):
-        return value._replace(**changes)
-    return dataclasses.replace(value, **changes)
+    return value._replace(**changes)
+
+
+def make(value, **changes):
+    """A copy of ``value`` with ``changes``, through ``_make``."""
+    return type(value)._make({**fields(value), **changes}.values())
 
 
 def c2() -> AbelianGroup:
@@ -165,14 +174,19 @@ NORMALISED = [
 
 COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
 
-# ComposeResult still orders like a plain tuple, and equals a subclass of it
-# with the same fields.
-TUPLE_LIKE = {"ComposeResult"}
-
 
 def test_the_table_covers_every_value_type():
     assert [type(make()) for make in SAMPLES.values()] == list(TYPES)
     assert [cls.__name__ for cls in TYPES] == list(SAMPLES) == list(REPRS)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=[cls.__name__ for cls in TYPES])
+def test_each_type_annotates_the_fields_of_its_namedtuple(cls):
+    assert cls.__mro__[1] is Frozen and cls.__mro__[2]._fields == cls._fields
+    assert tuple(cls.__annotations__) == cls._fields
+    value = SAMPLES[cls.__name__]()
+    # no class attribute, such as a default written in the body, hides a field
+    assert all(getattr(value, name) is value[i] for i, name in enumerate(cls._fields))
 
 
 @pytest.mark.parametrize("name", SAMPLES)
@@ -182,7 +196,7 @@ def test_a_value_equals_and_hashes_like_an_equal_value_of_its_own_type(name):
     assert first == second and not first != second
     assert hash(first) == hash(second)
     for duplicate in (copy.copy(first), copy.deepcopy(first),
-                      pickle.loads(pickle.dumps(first)), replace(first)):
+                      pickle.loads(pickle.dumps(first)), replace(first), make(first)):
         assert type(duplicate) is type(first)
         assert duplicate == first and hash(duplicate) == hash(first)
 
@@ -195,9 +209,8 @@ def test_a_value_never_equals_a_tuple_or_another_type(name):
     assert not value == plain and not plain == value
     twin = type("Twin", (type(value),), {})(**fields(value))
     assert fields(twin) == fields(value)
-    if name not in TUPLE_LIKE:
-        assert value != twin and twin != value
-        assert not value == twin and not twin == value
+    assert value != twin and twin != value
+    assert not value == twin and not twin == value
     others = [make() for other, make in SAMPLES.items() if other != name]
     assert all(value != other and other != value for other in others)
 
@@ -211,8 +224,7 @@ def test_two_types_with_the_same_fields_are_not_equal(first, second):
     assert not one == two and not two == one
 
 
-@pytest.mark.parametrize("name", [name for name in SAMPLES
-                                  if name not in {"SplittingPattern", *TUPLE_LIKE}])
+@pytest.mark.parametrize("name", [name for name in SAMPLES if name != "SplittingPattern"])
 def test_no_value_type_but_splitting_patterns_is_ordered(name):
     first, second = SAMPLES[name](), SAMPLES[name]()
     plain = tuple(fields(first).values())
@@ -266,13 +278,30 @@ def test_each_check_fires_on_construction_and_on_replace(name, changes, error, m
         type(value)(**{**fields(value), **changes})
     with pytest.raises(error, match=message):
         replace(value, **changes)
+    with pytest.raises(error, match=message):
+        make(value, **changes)
 
 
 @pytest.mark.parametrize("name, changes, expected", NORMALISED,
                          ids=[name for name, *_ in NORMALISED])
 def test_each_normalisation_applies_on_construction_and_on_replace(name, changes, expected):
     value = SAMPLES[name]()
-    for built in (type(value)(**{**fields(value), **changes}), replace(value, **changes)):
+    for built in (type(value)(**{**fields(value), **changes}), replace(value, **changes),
+                  make(value, **changes)):
         assert type(built) is type(value)
         assert {key: fields(built)[key] for key in expected} == expected
         assert built == type(value)(**{**fields(value), **expected})
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no module that site imports can hide one the package pulls in
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = ("import json, sys; before = set(sys.modules); import sdxa.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "sdxa.cli" in loaded and "sdxa.census" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
