@@ -249,12 +249,7 @@ class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
 
     @property
     def coverage(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for line in self.headers:
-            match = _COVERAGE_RE.match(line)
-            if match:
-                out[match.group(1)] = parse_int(match.group(2), DomainError, field="maxdisc")
-        return out
+        return dict(entry for entry in map(_coverage_entry, self.headers) if entry)
 
     def group_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -277,6 +272,17 @@ class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
             if record.label == label:
                 return record
         raise DomainError(f"no record labelled {label!r}")
+
+
+def _coverage_entry(header: str) -> tuple[str, int] | None:
+    """The (group, maxdisc) a ``#coverage`` header asserts, None for another
+    header; DomainError if its bound is not ASCII digits or it is otherwise malformed."""
+    if header.split()[0] != "#coverage":
+        return None
+    match = _COVERAGE_RE.match(header)
+    if not match:
+        raise DomainError(f"malformed coverage header: {header!r:.200}")
+    return match.group(1), parse_int(match.group(2), DomainError, field="maxdisc")
 
 
 @lru_cache(maxsize=None)
@@ -373,6 +379,10 @@ def load_dataset(text: str) -> Dataset:
         if not line.strip():
             continue
         if line.startswith("#"):
+            try:
+                _coverage_entry(line)
+            except DomainError as exc:
+                raise RecordParseError(str(exc), line_number) from None
             headers.append(line)
             continue
         record = parse_record(line, line_number)

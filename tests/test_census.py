@@ -694,14 +694,35 @@ def test_count_N_coverage_warning_names_the_disc_the_cutoff_needs():
 
 def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
     n = INT_MAX_STR_DIGITS
-    with pytest.raises(DomainError, match=f"^maxdisc has more than {n} digits$"):
-        load_dataset(f"#coverage group=S3 maxdisc={'9' * (n + 1)}\n").coverage
+    with pytest.raises(RecordParseError, match=f"^line 2: maxdisc has more than {n} digits$"):
+        load_dataset(f"# a note\n#coverage group=S3 maxdisc={'9' * (n + 1)}\n")
     assert load_dataset(f"#coverage group=S3 maxdisc={'9' * n}\n").coverage == {
         "S3": int("9" * n)
     }
-    # a bound in other digits, or with a sign or "_", makes no coverage header
-    for bound in ("٢٠٠٠", "+2000", "2_000"):
-        assert load_dataset(f"#coverage group=S3 maxdisc={bound}\n").coverage == {}
+    # a bound in other digits, or with a sign or "_", is refused with its line
+    for bound in ("abc", "٢٠٠٠", "-5", "+2000", "2_000", "2000 C2", ""):
+        header = f"#coverage group=S3 maxdisc={bound}"
+        with pytest.raises(RecordParseError) as info:
+            load_dataset(f"#coverage group=C2 maxdisc=100\n\n{header}\n")
+        assert str(info.value) == f"line 3: malformed coverage header: {header!r}"
+        assert info.value.line_number == 3
+        with pytest.raises(DomainError, match="^malformed coverage header: "):
+            Dataset((), (header,)).coverage
+
+
+@pytest.mark.parametrize("header", ["#coverage", "#coverage group=S3", "#coverage maxdisc=5",
+                                    "#coverage\tgroup=S3 maxdisc=5 more"])
+def test_a_header_that_starts_with_the_coverage_word_must_be_one(header):
+    with pytest.raises(RecordParseError, match="^line 1: malformed coverage header: "):
+        load_dataset(f"{header}\n")
+
+
+@pytest.mark.parametrize("header", ["#", "# coverage group=S3 maxdisc=abc",
+                                    "#coverages group=S3 maxdisc=abc", "#note maxdisc=-5"])
+def test_another_header_is_a_comment(header):
+    data = load_dataset(f"{header}\n#coverage group=S3 maxdisc=20\n")
+    assert data.headers == (header, "#coverage group=S3 maxdisc=20")
+    assert data.coverage == {"S3": 20}
 
 
 def test_count_N_rejects_bad_x():

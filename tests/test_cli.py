@@ -1053,7 +1053,9 @@ def _spec(**values):
 # that \d and int() took but is not ASCII digits after an optional "-".
 INTEGER_FIELDS = {
     "coverage-past-limit": (ON_RECORDS, f"#coverage group=S3 maxdisc={PAST}\n",
-                            f"maxdisc has more than {N} digits"),
+                            f"line 1: maxdisc has more than {N} digits"),
+    "coverage-arabic": (ON_RECORDS, "# fields\n#coverage group=S3 maxdisc=٢٠٠٠\n",
+                        "line 2: malformed coverage header: '#coverage group=S3 maxdisc=٢٠٠٠'"),
     "degree-past-limit": (ON_RECORDS, f"a;{PAST};S3;-23;23:t(2.1);\n",
                           f"line 1: degree has more than {N} digits"),
     "degree-plus": (ON_RECORDS, "a;+3;S3; -23 ;٢٣:t(٢.١);\n",
