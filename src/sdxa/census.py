@@ -78,10 +78,6 @@ class LocalDatum(Frozen, namedtuple("LocalDatum", "prime tame_class wild_valuati
     """Ramification data at one prime: either a tame inertia class or a bare
     wild discriminant valuation."""
 
-    prime: int
-    tame_class: CycleType | None
-    wild_valuation: int | None
-
     def __new__(cls, prime: int, tame_class: CycleType | None = None,
                 wild_valuation: int | None = None) -> LocalDatum:
         if prime < 2:
@@ -755,10 +751,6 @@ class UniformityBin(Frozen, namedtuple("UniformityBin", "classes q exponent")):
     """One dyadic constraint: primes carrying any of ``classes`` must appear
     with squarefree product in [q, 2q); ``exponent`` is an optional comparison
     exponent for the reported ratio."""
-
-    classes: frozenset[CycleType]
-    q: int
-    exponent: Fraction | None
 
     def __new__(cls, classes: frozenset[CycleType], q: int,
                 exponent: Fraction | None = None) -> UniformityBin:

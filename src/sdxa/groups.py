@@ -98,8 +98,6 @@ class AbelianGroup(Frozen, namedtuple("AbelianGroup", "invariant_factors")):
     ``AbelianGroup((6,))``.
     """
 
-    invariant_factors: tuple[int, ...]
-
     def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
         self = super().__new__(cls, _normalize_invariant_factors(invariant_factors))
         vars(self)["_elements_by_order"] = {}  # element_of_order's memo
@@ -169,9 +167,6 @@ class AbelianGroup(Frozen, namedtuple("AbelianGroup", "invariant_factors")):
 
 class AbelianElement(Frozen, namedtuple("AbelianElement", "group residues")):
     """An element of an :class:`AbelianGroup` as a reduced residue vector."""
-
-    group: AbelianGroup
-    residues: tuple[int, ...]
 
     def __new__(cls, group: AbelianGroup, residues: tuple[int, ...]) -> AbelianElement:
         factors = group.invariant_factors
@@ -339,10 +334,6 @@ def cyclotomic_class_orbits(
 class MalleInvariants(Frozen, namedtuple("MalleInvariants", "a exponent b")):
     """Minimal-index data governing the conjectured growth rate of field
     counts: the count grows like X^(1/a) * (log X)^(b-1)."""
-
-    a: int
-    exponent: Fraction
-    b: int
 
     def __new__(cls, a: int, exponent: Fraction, b: int) -> MalleInvariants:
         if a < 1 or b < 1:

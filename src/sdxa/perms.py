@@ -36,8 +36,6 @@ class CycleType(Frozen, namedtuple("CycleType", "parts")):
     parts of size 1, so the parts always sum to the degree.
     """
 
-    parts: tuple[int, ...]
-
     def __new__(cls, parts: tuple[int, ...]) -> CycleType:
         if any(p < 1 for p in parts):
             raise DomainError(f"parts must be positive: {parts!r}")

@@ -45,7 +45,6 @@ class SplittingPattern(Frozen, namedtuple("SplittingPattern", "factors")):
     """A multiset of (e, f) factor pairs, held in descending lexicographic
     order of (e, f); patterns sort by that tuple of factors."""
 
-    factors: tuple[tuple[int, int], ...]
     _ordered = True
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]) -> SplittingPattern:

@@ -5,13 +5,15 @@ only a value of its own type with the same fields, never a plain tuple; only
 ``SplittingPattern`` is ordered, and only against its own type; its ``repr``
 is pinned; and every check or normalisation of the constructor also applies to
 a copy made with the replace API, ``_replace`` or ``_make``.  Every type is a
-:class:`sdxa.errors.Frozen` ahead of a ``namedtuple`` of its fields, which its
-class body annotates in the same order.
+:class:`sdxa.errors.Frozen` ahead of a ``namedtuple`` of its fields, which
+either its ``__new__`` (when it checks them) or its class body annotates, in
+the same order.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import operator
 import os
@@ -181,9 +183,16 @@ def test_the_table_covers_every_value_type():
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=[cls.__name__ for cls in TYPES])
-def test_each_type_annotates_the_fields_of_its_namedtuple(cls):
+def test_each_type_annotates_the_fields_of_its_namedtuple_once(cls):
     assert cls.__mro__[1] is Frozen and cls.__mro__[2]._fields == cls._fields
-    assert tuple(cls.__annotations__) == cls._fields
+    annotated = vars(cls).get("__annotations__", {})
+    if "__new__" in vars(cls):
+        parameters = inspect.signature(cls.__new__).parameters.values()
+        assert tuple(p.name for p in parameters)[1:] == cls._fields
+        assert all(p.annotation is not p.empty for p in parameters if p.name != "cls")
+        assert not annotated
+    else:
+        assert tuple(annotated) == cls._fields
     value = SAMPLES[cls.__name__]()
     # no class attribute, such as a default written in the body, hides a field
     assert all(getattr(value, name) is value[i] for i, name in enumerate(cls._fields))
