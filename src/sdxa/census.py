@@ -270,15 +270,17 @@ class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
         raise DomainError(f"no record labelled {label!r}")
 
 
-def _coverage_entry(header: str) -> tuple[str, int] | None:
-    """The (group, maxdisc) a ``#coverage`` header asserts, None for another
-    header; DomainError if its bound is not ASCII digits or it is otherwise malformed."""
+def _coverage_entry(header: str, line_number: int | None = None) -> tuple[str, int] | None:
+    """The (group, maxdisc) a ``#coverage`` header asserts, None for another header;
+    :class:`RecordParseError` at ``line_number`` if it is malformed or its bound
+    is not ASCII digits."""
     if header.split()[0] != "#coverage":
         return None
+    error = partial(RecordParseError, line_number=line_number)
     match = _COVERAGE_RE.match(header)
     if not match:
-        raise DomainError(f"malformed coverage header: {header!r:.200}")
-    return match.group(1), parse_int(match.group(2), DomainError, field="maxdisc")
+        raise error(f"malformed coverage header: {header!r:.200}")
+    return match.group(1), parse_int(match.group(2), error, field="maxdisc")
 
 
 @lru_cache(maxsize=None)
@@ -375,10 +377,7 @@ def load_dataset(text: str) -> Dataset:
         if not line.strip():
             continue
         if line.startswith("#"):
-            try:
-                _coverage_entry(line)
-            except DomainError as exc:
-                raise RecordParseError(str(exc), line_number) from None
+            _coverage_entry(line, line_number)
             headers.append(line)
             continue
         record = parse_record(line, line_number)

@@ -706,7 +706,7 @@ def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
             load_dataset(f"#coverage group=C2 maxdisc=100\n\n{header}\n")
         assert str(info.value) == f"line 3: malformed coverage header: {header!r}"
         assert info.value.line_number == 3
-        with pytest.raises(DomainError, match="^malformed coverage header: "):
+        with pytest.raises(RecordParseError, match="^malformed coverage header: "):
             Dataset((), (header,)).coverage
 
 
