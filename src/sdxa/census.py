@@ -32,6 +32,7 @@ from .errors import (
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
+    parse_fraction,
     parse_int,
 )
 from .groups import AbelianGroup, factorize, is_prime
@@ -426,6 +427,13 @@ def _integer(entry: Any, key: str) -> int:
     return number
 
 
+def _rational(value: Any) -> Fraction | None:
+    """A JSON exponent: null, text for :func:`parse_fraction`, or a number read as it prints."""
+    if isinstance(value, str):
+        return parse_fraction(value)
+    return None if value is None else Fraction(str(value))
+
+
 def _read_json(text: str, lacks: str, malformed: str, parse: Callable[[Any], Any]) -> Any:
     """``parse`` of the JSON document ``text``; a missing key is reported as
     "``lacks`` lacks the key ...", any other bad value as "malformed ``malformed``"."""
@@ -766,7 +774,7 @@ def parse_uniformity_spec(text: str) -> list[UniformityBin]:
     entries = _read_json(text, "uniformity spec", "uniformity spec", lambda doc: [
         ([_cycle_parts(cls, field="a class") for cls in entry["classes"]],
          _integer(entry, "q"),
-         None if entry.get("exponent") is None else Fraction(str(entry["exponent"])))
+         _rational(entry.get("exponent")))
         for entry in doc["bins"]
     ])
     return [

@@ -48,7 +48,7 @@ from .census import (
     product_order,
     read_text,
 )
-from .errors import SdxaError
+from .errors import SdxaError, parse_fraction, parse_int
 from .groups import (
     AbelianGroup,
     abelian_counting_constants,
@@ -71,11 +71,12 @@ def bundled_fixture_path() -> str:
     return str(files("sdxa").joinpath("data/cubic_quadratic_fields.txt"))
 
 
+def _int(text: str) -> int:
+    return parse_int(text, argparse.ArgumentTypeError, f"invalid int value: {text!r}")
+
+
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    return parse_fraction(text, argparse.ArgumentTypeError, f"not a rational number: {text!r}")
 
 
 def _render(fmt: str, rows: list[list], heading: Sequence[str] = (),
@@ -198,7 +199,7 @@ def cmd_tail_bound(args) -> int:
     return _render(args.format, rows, heading=[
         f"beta = {beta_value} ({origin}), epsilon = {args.epsilon}, "
         f"m = {args.m}, series exponent beta + epsilon = "
-        f"{Fraction(beta_value) + args.epsilon}",
+        f"{beta_value + args.epsilon}",
         *attained,
     ])
 
@@ -292,7 +293,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     behind both its own parser and the subparser of :func:`build_parser`."""
     p.set_defaults(func=_COMMANDS[name][0])
     if name != "compose":
-        p.add_argument("--d", type=int, required=True,
+        p.add_argument("--d", type=_int, required=True,
                        help="degree of the symmetric-group side")
     if name not in ("compose", "uniformity"):
         p.add_argument("--A", required=True,
@@ -305,15 +306,15 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     if name == "tail-bound":
         p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 1000),
                        help="slack exponent, an exact rational like 1/1000")
-        p.add_argument("--m", type=int, required=True,
+        p.add_argument("--m", type=_int, required=True,
                        help="number of dyadic ranges")
         p.add_argument("--Y", type=float, required=True, nargs="+",
                        help="series cutoff(s)")
         p.add_argument("--beta", type=_fraction, default=None,
                        help="explicit combined exponent (skips the preset)")
     elif name == "census":
-        p.add_argument("--X", type=int, required=True, help="discriminant cutoff")
-        p.add_argument("--Y", type=int, default=None,
+        p.add_argument("--X", type=_int, required=True, help="discriminant cutoff")
+        p.add_argument("--Y", type=_int, default=None,
                        help="prime cutoff for the truncated count")
     elif name == "compose":
         p.add_argument("--F", required=True, help="label of the degree-d record")
@@ -321,7 +322,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     elif name == "uniformity":
         p.add_argument("--uniformity-spec", required=True,
                        help="JSON file describing the dyadic bins")
-        p.add_argument("--X", type=int, required=True, action="append",
+        p.add_argument("--X", type=_int, required=True, action="append",
                        help="cutoff (repeatable)")
     if name in ("census", "compose"):
         p.add_argument("--wild-overrides", default=None,

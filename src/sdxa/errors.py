@@ -1,5 +1,5 @@
 """Exception types shared across the package, :class:`Frozen`, the base of every
-value type, and :func:`parse_int`, the one reader of integer text.
+value type, and the readers of integer and rational text.
 
 Every error raised deliberately by this library derives from :class:`SdxaError`,
 so callers (and the command-line driver) can distinguish domain failures from
@@ -9,6 +9,7 @@ programming errors.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from typing import Callable
 
 #: The most digits ``int()`` reads from text, 0 for no limit: read once, as
@@ -30,6 +31,20 @@ def parse_int(text: str, error: Callable[[str], Exception] = ValueError,
         if field is not None:
             raise error(f"{field} has more than {INT_MAX_STR_DIGITS} digits")
     raise error(message or f"invalid literal for int() with base 10: {text!r:.200}")
+
+
+def parse_fraction(text: str, error: Callable[[str], Exception] = ValueError,
+                   message: str | None = None) -> Fraction:
+    """The rational ``text`` spells as ``n``, ``n/m`` or ``n.f``, read by
+    :func:`parse_int` with only ``n`` signed; other text, and ``m = 0``, raise
+    ``error(message)``, by default with ``Fraction``'s own message."""
+    message = message or f"Invalid literal for Fraction: {text!r:.200}"
+    head, mark, tail = text.partition("/" if "/" in text else ".")
+    numerator = parse_int(head if mark == "/" else head + tail, error, message)
+    denominator = parse_int(tail, error, message) if mark == "/" else 10 ** len(tail)
+    if tail[:1] == "-" or not denominator:
+        raise error(message)
+    return Fraction(numerator, denominator)
 
 
 class FrozenInstanceError(AttributeError):

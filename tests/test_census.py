@@ -567,6 +567,25 @@ def test_uniformity_spec_reads_integral_values_as_before():
     ]
 
 
+@pytest.mark.parametrize("exponent,value", [
+    ('"-1/2"', Fraction(-1, 2)), ('"-0.25"', Fraction(-1, 4)), ('"3"', Fraction(3)),
+    ("-2", Fraction(-2)), ("-0.5", Fraction(-1, 2)), ("-0.00001", Fraction(-1, 100000)),
+    ("1e-5", Fraction(1, 100000)), ("null", None)])
+def test_a_spec_exponent_is_a_rational_string_or_a_json_number(exponent, value):
+    spec = '{"bins": [{"classes": ["3"], "q": 8, "exponent": %s}]}' % exponent
+    assert parse_uniformity_spec(spec) == [UniformityBin(frozenset({CycleType((3,))}), 8, value)]
+
+
+@pytest.mark.parametrize("exponent,text", [
+    ('"+1/2"', "'+1/2'"), ('" -1/2"', "' -1/2'"), ('"\u0663"', "'\u0663'"),
+    ('"1_0"', "'1_0'"), ('"1e-5"', "'1e-5'"), ("true", "'True'"), ('"1/-2"', "'1/-2'")])
+def test_any_other_spec_exponent_is_malformed(exponent, text):
+    spec = '{"bins": [{"classes": ["3"], "q": 8, "exponent": %s}]}' % exponent
+    with pytest.raises(DomainError) as err:
+        parse_uniformity_spec(spec)
+    assert str(err.value) == f"malformed uniformity spec: Invalid literal for Fraction: {text}"
+
+
 @pytest.mark.parametrize(
     "parse,message",
     [(parse_wild_overrides, "malformed wild overrides: "),

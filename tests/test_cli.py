@@ -282,6 +282,48 @@ def test_tail_bound_epsilon_must_be_rational(capsys):
     assert exc.value.code == 2
 
 
+TAIL = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16"]
+STRICT_FLAGS = {
+    "d-arabic": (["invariants", "--A", "C2", "--d", "٣"], "--d", "invalid int value: '٣'"),
+    "d-plus": (["invariants", "--A", "C2", "--d=+3"], "--d", "invalid int value: '+3'"),
+    "d-space": (["invariants", "--A", "C2", "--d", " 3"], "--d", "invalid int value: ' 3'"),
+    "m-underscore": (["tail-bound", "--d", "3", "--A", "C2", "--Y", "16", "--m", "1_0"],
+                     "--m", "invalid int value: '1_0'"),
+    "census-X-underscore": (["census", "--d", "3", "--A", "C2", "--X", "1_000"],
+                            "--X", "invalid int value: '1_000'"),
+    "census-Y-arabic": (["census", "--d", "3", "--A", "C2", "--X", "100", "--Y", "١٠٠"],
+                        "--Y", "invalid int value: '١٠٠'"),
+    "uniformity-X-space": (["uniformity", "--d", "3", "--uniformity-spec", "s.json", "--X",
+                            "100 "], "--X", "invalid int value: '100 '"),
+    "beta-arabic": (TAIL + ["--beta", "١/٢"], "--beta", "not a rational number: '١/٢'"),
+    "beta-plus": (TAIL + ["--beta=+1/2"], "--beta", "not a rational number: '+1/2'"),
+    "beta-underscore": (TAIL + ["--beta", "-1_0/3"], "--beta",
+                        "not a rational number: '-1_0/3'"),
+    "epsilon-space": (TAIL + ["--epsilon", "1/1000 "], "--epsilon",
+                      "not a rational number: '1/1000 '"),
+    "epsilon-zero-denominator": (TAIL + ["--epsilon", "1/0"], "--epsilon",
+                                 "not a rational number: '1/0'"),
+}
+
+
+@pytest.mark.parametrize("argv,flag,message", STRICT_FLAGS.values(), ids=STRICT_FLAGS.keys())
+def test_a_numeric_flag_reads_ascii_digits_or_is_a_usage_error(capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("beta,epsilon,exponent", [
+    ("-1/2", "1/1000", "-499/1000"), ("-0.5", "0.001", "-499/1000"), ("-1", "0", "-1"),
+    ("-.25", "-1/4", "-1/2")])
+def test_a_rational_flag_reads_a_fraction_or_a_decimal(capsys, beta, epsilon, exponent):
+    code, out, _ = run(capsys, *TAIL, "--beta", beta, "--epsilon", epsilon)
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"series exponent beta + epsilon = {exponent}")
+
+
 def test_tail_bound_comparator_underflow_is_an_error(capsys):
     # (log y)^(m-1) * y^(beta+epsilon) is below the smallest float here
     code, out, err = run(capsys, "tail-bound", "--d", "3", "--A", "C2",

@@ -1,17 +1,20 @@
-"""The one reader of integer text, ``errors.parse_int``, and the guard that
-keeps it the only one: no other function in ``src/sdxa`` calls ``int()``."""
+"""The one reader of integer text, ``errors.parse_int``, the rational reader
+``errors.parse_fraction`` built on it, and the guard that keeps them the only
+ones: no other function in ``src/sdxa`` calls ``int()`` or hands text to
+``Fraction``."""
 
 from __future__ import annotations
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdxa.errors import INT_MAX_STR_DIGITS, DomainError, parse_int
+from sdxa.errors import INT_MAX_STR_DIGITS, DomainError, parse_fraction, parse_int
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sdxa"
 N = INT_MAX_STR_DIGITS
@@ -74,28 +77,82 @@ def test_one_digit_past_the_limit_names_the_field_if_given():
         parse_int("+" + past, DomainError, "bad width", "width")
 
 
+@pytest.mark.parametrize("text", ["0", "-3", "7/2", "-1/1000", "007/014", "0.5", "-2.25",
+                                  ".5", "-.5", "3.", "9" * N + "/" + "9" * N])
+def test_a_rational_is_read_as_fraction_reads_it(text):
+    value = parse_fraction(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+1/2", " 1/2", "1/2 ", "1_0/3", "1/2_0", "٣", "١/٢", "1e3", "1.5e-3", "1/-2", "1.-5",
+     ".-5", "1.5/2", "1/2/3", "", ".", "-", "/", "1/", "/2", "-/2", "inf", "nan", "0x1"],
+)
+def test_any_other_rational_spelling_is_refused_with_fraction_s_message(text):
+    with pytest.raises(ValueError) as err:
+        parse_fraction(text)
+    assert str(err.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/000"])
+def test_a_zero_denominator_is_refused_with_the_same_message(text):
+    with pytest.raises(ValueError) as err:
+        parse_fraction(text)
+    assert str(err.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+@given(st.text(alphabet="0123456789-./+_ e٣", max_size=8))
+def test_a_rational_reads_what_fraction_reads_in_ascii_digits_only(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+    else:
+        if re.fullmatch(r"-?[0-9]*(/[0-9]+|\.[0-9]*)?", text):
+            assert parse_fraction(text) == expected
+        else:
+            with pytest.raises(ValueError):
+                parse_fraction(text)
+
+
+def test_a_rational_names_the_caller_s_error_and_message_even_past_the_limit():
+    for text in ("1/" + "9" * (N + 1), "9" * (N + 1), "0." + "9" * N, "+1"):
+        with pytest.raises(DomainError, match="^bad rate$"):
+            parse_fraction(text, DomainError, "bad rate")
+
+
 # Where ``int()`` may be called in the package: inside the reader, and where the
 # census takes a JSON number (not text) as an integer.
 INT_CALLERS = {("errors.py", "parse_int"), ("census.py", "_integer")}
+# Where ``Fraction`` may take one argument: where it takes a number, and where
+# the census reads a JSON number as the decimal Python prints for it.  Two
+# arguments (numerator, denominator) are integers, not text.
+FRACTION_CALLERS = {("census.py", "_rational"), ("indexcalc.py", "exponent_presets"),
+                    ("indexcalc.py", "tail_series")}
 
 
-def bare_int_calls(source: str, filename: str) -> list[str]:
-    """``file:line`` of each call of ``int`` (or ``int`` handed to another
-    call, as in ``map(int, parts)`` or ``key=int``) outside the functions
-    allowed one.  Two uses are no such call: the ``getattr(sys, ..., int)``
-    fallback that reads the digit limit, and an argparse ``type=int`` flag,
-    whose bad values argparse answers with a usage error (exit 2)."""
+def bare_int_calls(source: str, filename: str, name: str = "int") -> list[str]:
+    """``file:line`` of each call of ``name`` (or ``name`` handed to another
+    call, as in ``map(int, parts)``, ``key=int`` or an argparse ``type=int``)
+    outside the functions allowed one: :data:`INT_CALLERS` for ``int``,
+    :data:`FRACTION_CALLERS` for ``Fraction``, which is not flagged with two
+    arguments.  The ``getattr(sys, ..., int)`` fallback that reads the digit
+    limit is no such call."""
+    allowed = INT_CALLERS if name == "int" else FRACTION_CALLERS
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and (filename, function) not in INT_CALLERS:
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            handed = [] if name == "getattr" else [*node.args, *(
-                k.value for k in node.keywords if (name, k.arg) != ("add_argument", "type"))]
-            for target in [node.func, *handed]:
-                if isinstance(target, ast.Name) and target.id == "int":
+        if isinstance(node, ast.Call) and (filename, function) not in allowed:
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            handed = [] if callee == "getattr" else [*node.args,
+                                                     *(k.value for k in node.keywords)]
+            called = [] if name == "Fraction" and len(handed) == 2 else [node.func]
+            for target in [*called, *handed]:
+                if isinstance(target, ast.Name) and target.id == name:
                     found.append(f"{filename}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -106,9 +163,16 @@ def bare_int_calls(source: str, filename: str) -> list[str]:
 
 def test_no_function_but_the_reader_calls_int():
     modules = sorted(SRC.glob("*.py"))
-    assert {path.name for path in modules} >= {"census.py", "errors.py", "groups.py",
+    assert {path.name for path in modules} >= {"census.py", "cli.py", "errors.py", "groups.py",
                                                "splitting.py"}
     found = [hit for path in modules for hit in bare_int_calls(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_no_function_but_the_rational_reader_hands_fraction_text():
+    modules = sorted(SRC.glob("*.py"))
+    found = [hit for path in modules
+             for hit in bare_int_calls(path.read_text(), path.name, "Fraction")]
     assert found == []
 
 
@@ -125,6 +189,26 @@ def test_the_guard_sees_each_way_of_calling_int():
         "parser.add_argument('--d', type=int)\n"
     )
     assert bare_int_calls(source, "groups.py") == ["groups.py:2", "groups.py:4",
-                                                   "groups.py:7", "groups.py:8"]
+                                                   "groups.py:7", "groups.py:8",
+                                                   "groups.py:9"]
     assert bare_int_calls(source, "census.py") == ["census.py:2", "census.py:4",
-                                                   "census.py:8"]
+                                                   "census.py:8", "census.py:9"]
+
+
+def test_the_guard_sees_each_way_of_handing_fraction_text():
+    source = (
+        "def _fraction(text):\n"
+        "    return Fraction(text)\n"
+        "EPSILON = Fraction(1, 1000)\n"
+        "def _rational(value):\n"
+        "    return Fraction(str(value))\n"
+        "def spec(entry):\n"
+        "    return Fraction(str(entry['exponent']))\n"
+        "RATES = list(map(Fraction, ['1/2', '1/3']))\n"
+        "parser.add_argument('--beta', type=Fraction)\n"
+        "HALF = Fraction(numerator=1, denominator=2)\n"
+    )
+    hits = ["cli.py:2", "cli.py:5", "cli.py:7", "cli.py:8", "cli.py:9"]
+    assert bare_int_calls(source, "cli.py", "Fraction") == hits
+    assert bare_int_calls(source, "census.py", "Fraction") == [
+        hit.replace("cli", "census") for hit in hits if hit != "cli.py:5"]
