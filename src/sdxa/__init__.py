@@ -14,6 +14,10 @@ The package is organized bottom-up:
 - :mod:`sdxa.census` — field-record ingestion, pair composition, counting,
   and dyadic uniformity measurements.
 - :mod:`sdxa.cli` — the ``sdxa`` command-line driver.
+
+Each value type is a ``namedtuple`` of its fields under :class:`sdxa.errors.Frozen`:
+frozen, equal only to its own type, unordered but for ``SplittingPattern``,
+and checked in ``__new__``, which ``_replace`` and ``_make`` call too.
 """
 
 __version__ = "0.1.0"

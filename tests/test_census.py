@@ -577,7 +577,7 @@ def test_a_spec_exponent_is_a_rational_string_or_a_json_number(exponent, value):
 
 
 @pytest.mark.parametrize("exponent,text", [
-    ('"+1/2"', "'+1/2'"), ('" -1/2"', "' -1/2'"), ('"\u0663"', "'\u0663'"),
+    ('"+1/2"', "'+1/2'"), ('" -1/2"', "' -1/2'"), ('"٣"', "'٣'"),
     ('"1_0"', "'1_0'"), ('"1e-5"', "'1e-5'"), ("true", "'True'"), ('"1/-2"', "'1/-2'")])
 def test_any_other_spec_exponent_is_malformed(exponent, text):
     spec = '{"bins": [{"classes": ["3"], "q": 8, "exponent": %s}]}' % exponent

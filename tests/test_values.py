@@ -12,6 +12,7 @@ the same order.
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import json
@@ -56,7 +57,7 @@ def replace(value, **changes):
     return value._replace(**changes)
 
 
-def make(value, **changes):
+def remake(value, **changes):
     """A copy of ``value`` with ``changes``, through ``_make``."""
     return type(value)._make({**fields(value), **changes}.values())
 
@@ -178,7 +179,7 @@ COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
 
 
 def test_the_table_covers_every_value_type():
-    assert [type(make()) for make in SAMPLES.values()] == list(TYPES)
+    assert [type(sample()) for sample in SAMPLES.values()] == list(TYPES)
     assert [cls.__name__ for cls in TYPES] == list(SAMPLES) == list(REPRS)
 
 
@@ -205,7 +206,7 @@ def test_a_value_equals_and_hashes_like_an_equal_value_of_its_own_type(name):
     assert first == second and not first != second
     assert hash(first) == hash(second)
     for duplicate in (copy.copy(first), copy.deepcopy(first),
-                      pickle.loads(pickle.dumps(first)), replace(first), make(first)):
+                      pickle.loads(pickle.dumps(first)), replace(first), remake(first)):
         assert type(duplicate) is type(first)
         assert duplicate == first and hash(duplicate) == hash(first)
 
@@ -220,7 +221,7 @@ def test_a_value_never_equals_a_tuple_or_another_type(name):
     assert fields(twin) == fields(value)
     assert value != twin and twin != value
     assert not value == twin and not twin == value
-    others = [make() for other, make in SAMPLES.items() if other != name]
+    others = [sample() for other, sample in SAMPLES.items() if other != name]
     assert all(value != other and other != value for other in others)
 
 
@@ -288,7 +289,7 @@ def test_each_check_fires_on_construction_and_on_replace(name, changes, error, m
     with pytest.raises(error, match=message):
         replace(value, **changes)
     with pytest.raises(error, match=message):
-        make(value, **changes)
+        remake(value, **changes)
 
 
 @pytest.mark.parametrize("name, changes, expected", NORMALISED,
@@ -296,7 +297,7 @@ def test_each_check_fires_on_construction_and_on_replace(name, changes, error, m
 def test_each_normalisation_applies_on_construction_and_on_replace(name, changes, expected):
     value = SAMPLES[name]()
     for built in (type(value)(**{**fields(value), **changes}), replace(value, **changes),
-                  make(value, **changes)):
+                  remake(value, **changes)):
         assert type(built) is type(value)
         assert {key: fields(built)[key] for key in expected} == expected
         assert built == type(value)(**{**fields(value), **expected})
@@ -314,3 +315,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = json.loads(result.stdout)
     assert "sdxa.cli" in loaded and "sdxa.census" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+def test_no_module_formats_text_with_percent():
+    # a value is a tuple, so "%s" % value would spread its fields over the format
+    for path in sorted((ROOT / "src" / "sdxa").glob("*.py")):
+        formats = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                   and isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)]
+        assert formats == [], path.name
