@@ -221,6 +221,8 @@ def test_a_value_never_equals_a_tuple_or_another_type(name):
     assert fields(twin) == fields(value)
     assert value != twin and twin != value
     assert not value == twin and not twin == value
+    # Python asks the subclass first; ask the type's own method too
+    assert type(value).__eq__(value, twin) is False
     others = [sample() for other, sample in SAMPLES.items() if other != name]
     assert all(value != other and other != value for other in others)
 
