@@ -10,13 +10,13 @@ and extracts both, for the product group and for the abelian factor alone.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from sdxa.groups import (
     AbelianGroup,
     abelian_counting_constants,
     abelian_groups_up_to,
     conjugacy_classes_product,
-    cyclotomic_class_orbits,
     malle_invariants_product,
     regular_cycle_type,
 )
@@ -44,7 +44,10 @@ minimal = [
     (g, h) for g, h in classes
     if pair_index(g, regular_cycle_type(h)) == invariants.a
 ]
-orbits = cyclotomic_class_orbits(group, minimal)
+# The power maps (g, h) -> (g^k, k*h), k prime to the exponent, keep g's cycle
+# type, so an orbit is g with the multiples k*h.
+units = [k for k in range(1, group.exponent + 1) if gcd(k, group.exponent) == 1]
+orbits = {frozenset((g, h.scale(k)) for k in units) for g, h in minimal}
 print(f"minimal classes: {[f'({g}, {h})' for g, h in minimal]}, "
       f"power-map orbits: {len(orbits)}")
 print()

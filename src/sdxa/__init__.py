@@ -5,8 +5,8 @@ The package is organized bottom-up:
 
 - :mod:`sdxa.perms` — cycle types, pair indices, and the product embedding
   of image tuples that checks them.
-- :mod:`sdxa.groups` — abelian groups, product conjugacy classes,
-  cyclotomic orbits, and the counting invariants they determine.
+- :mod:`sdxa.groups` — abelian groups, product conjugacy classes, and the
+  counting invariants they determine.
 - :mod:`sdxa.indexcalc` — the discrepancy function, equality-case
   classification, exponent margins, and the dyadic tail estimator.
 - :mod:`sdxa.splitting` — splitting patterns, Frobenius lifts on

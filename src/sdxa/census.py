@@ -22,7 +22,7 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     InsufficientDataError,
     RecordParseError,
     RecordValidationError,
+    cached_property,
     parse_fraction,
     parse_int,
 )
@@ -290,32 +291,41 @@ def _group_of_label(label: str) -> AbelianGroup:
     return AbelianGroup.from_label(label)
 
 
-def _cycle_parts(text: str, error: Callable[[str], Exception] = ValueError,
-                 message: str | None = None, field: str | None = None) -> tuple[int, ...]:
+def _cycle_parts(text: str, message: str | None = None,
+                 field: str | None = None) -> tuple[int, ...]:
     """The parts of a dotted cycle type such as ``"2.1"``, each read by :func:`parse_int`."""
-    return tuple(parse_int(part, error, message, field) for part in text.split("."))
+    return tuple(parse_int(part, ValueError, message, field) for part in text.split("."))
+
+
+@lru_cache(maxsize=None)
+def _parse_inertia(text: str) -> tuple[CycleType | None, int | None] | None:
+    """The (tame class, wild valuation) a ``t(...)``/``w(...)`` text spells, None
+    for other text; a bad class or valuation raises :class:`DomainError` or a
+    ``ValueError`` that names the fault, not the text.  Cached for the length of
+    one :func:`load_dataset`, so the chunks of a file that repeat a text share its class."""
+    tame = _TAME_RE.match(text)
+    if tame:
+        return CycleType(_cycle_parts(tame.group(1), message="bad cycle lengths")), None
+    wild = _WILD_RE.match(text)
+    return (None, parse_int(wild.group(1), message="bad wild valuation")) if wild else None
 
 
 @lru_cache(maxsize=None)
 def _parse_datum(chunk: str) -> LocalDatum:
     """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, else
-    :class:`RecordParseError` with no line number.  Cached for the length of one
+    :class:`RecordParseError` with no line number: the prime is read first, then
+    the text by :func:`_parse_inertia`.  Cached for the length of one
     :func:`load_dataset`, so records of a file that repeat a chunk share a datum."""
     prime_text, _, type_text = chunk.partition(":")
     prime = parse_int(prime_text, RecordParseError, f"bad prime in local datum {chunk!r}")
-    tame = _TAME_RE.match(type_text)
-    wild = _WILD_RE.match(type_text)
     try:
-        if tame:
-            parts = _cycle_parts(tame.group(1), RecordParseError,
-                                 f"bad cycle lengths in {chunk!r}")
-            return LocalDatum(prime, tame_class=CycleType(parts))
-        if wild:
-            valuation = parse_int(wild.group(1), RecordParseError,
-                                  f"bad wild valuation in {chunk!r}")
-            return LocalDatum(prime, wild_valuation=valuation)
-    except DomainError as exc:
+        inertia = _parse_inertia(type_text)
+        if inertia is not None:
+            return LocalDatum(prime, *inertia)
+    except DomainError as exc:  # a ValueError too, so caught first
         raise RecordParseError(f"bad local datum {chunk!r}: {exc}") from None
+    except ValueError as exc:
+        raise RecordParseError(f"{exc} in {chunk!r}") from None
     raise RecordParseError(f"local datum {chunk!r} is neither t(...) nor w(...)")
 
 
@@ -345,14 +355,7 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
                           for q in quad_text.split(","))
     except RecordParseError as exc:
         raise RecordParseError(str(exc), line_number) from None
-    record = FieldRecord(
-        label=label,
-        degree=degree,
-        group=group,
-        disc=disc,
-        local=local,
-        quad_subfield_discs=quads,
-    )
+    record = FieldRecord(label, degree, group, disc, local, quads)
     if not record.is_symmetric:
         try:
             record.abelian_group
@@ -365,10 +368,11 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content), emptying the chunk and
-    group-label caches first, so that no load reuses or keeps alive the
-    chunks or groups of an earlier file."""
+    """Parse a whole record file (text content), emptying the caches of chunks,
+    inertia texts, datum checks and group labels first, so that no load reuses
+    or keeps alive the data, classes or groups of an earlier file."""
     _parse_datum.cache_clear()
+    _parse_inertia.cache_clear()
     _datum_problem.cache_clear()
     _group_of_label.cache_clear()
     headers: list[str] = []

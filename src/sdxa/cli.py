@@ -33,7 +33,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from importlib.resources import files
 
 from .census import (
     compose_disc,
@@ -48,7 +47,7 @@ from .census import (
     product_order,
     read_text,
 )
-from .errors import SdxaError, parse_fraction, parse_int
+from .errors import SdxaError, parse_float, parse_fraction, parse_int
 from .groups import (
     AbelianGroup,
     abelian_counting_constants,
@@ -67,12 +66,18 @@ from .splitting import generate_table
 
 
 def bundled_fixture_path() -> str:
-    """Location of the field-census fixture shipped inside the package."""
+    """Location of the field-census fixture shipped inside the package; its
+    import, with all it loads, waits for the first parser with ``--dataset``."""
+    from importlib.resources import files
     return str(files("sdxa").joinpath("data/cubic_quadratic_fields.txt"))
 
 
 def _int(text: str) -> int:
     return parse_int(text, argparse.ArgumentTypeError, f"invalid int value: {text!r}")
+
+
+def _float(text: str) -> float:
+    return parse_float(text, argparse.ArgumentTypeError, f"invalid float value: {text!r}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -308,7 +313,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
                        help="slack exponent, an exact rational like 1/1000")
         p.add_argument("--m", type=_int, required=True,
                        help="number of dyadic ranges")
-        p.add_argument("--Y", type=float, required=True, nargs="+",
+        p.add_argument("--Y", type=_float, required=True, nargs="+",
                        help="series cutoff(s)")
         p.add_argument("--beta", type=_fraction, default=None,
                        help="explicit combined exponent (skips the preset)")

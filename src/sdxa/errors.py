@@ -1,5 +1,6 @@
 """Exception types shared across the package, :class:`Frozen`, the base of every
-value type, and the readers of integer and rational text.
+value type, its lazy facts (:class:`cached_property`), and the readers of
+integer, rational and float text.
 
 Every error raised deliberately by this library derives from :class:`SdxaError`,
 so callers (and the command-line driver) can distinguish domain failures from
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 #: The most digits ``int()`` reads from text, 0 for no limit: read once, as
 #: Python before 3.10.7 has neither the limit nor its getter.
@@ -47,6 +48,20 @@ def parse_fraction(text: str, error: Callable[[str], Exception] = ValueError,
     return Fraction(numerator, denominator)
 
 
+def parse_float(text: str, error: Callable[[str], Exception] = ValueError,
+                message: str | None = None) -> float:
+    """The float ``text`` spells as ``float()`` reads it, but in ASCII with no
+    ``_`` and no surrounding space; other text raises ``error(message)``, by
+    default with ``float()``'s own message.  ``inf``, ``nan`` and overflow to
+    ``inf`` are read, for the caller to refuse."""
+    if text.isascii() and "_" not in text and text.strip() == text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise error(message or f"could not convert string to float: {text!r}")
+
+
 class FrozenInstanceError(AttributeError):
     """A value's attribute was assigned or deleted: a bug, so not an :class:`SdxaError`."""
 
@@ -79,6 +94,21 @@ class Frozen:
                                                             tuple.__gt__, tuple.__ge__))
     __delattr__, __ne__, __hash__ = __setattr__, object.__ne__, tuple.__hash__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class cached_property:
+    """A method read as an attribute, computed on first access and stored under
+    its name in the instance's ``__dict__``, which answers every later read:
+    ``functools.cached_property`` without the lock it takes before Python 3.12."""
+
+    def __init__(self, method: Callable[[Any], Any]) -> None:
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, instance: object, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = vars(instance)[self.name] = self.method(instance)
+        return value
 
 
 class SdxaError(Exception):

@@ -5,10 +5,10 @@ parsed from labels like ``"C2"`` or ``"C2xC4"`` and brought into chain form by
 gcd/lcm steps, with no factoring.  Elements are residue vectors; the regular
 action on the group's own elements supplies the permutation-theoretic view
 (cycle types, indices).  On top of this sit the conjugacy classes of the
-direct product of a symmetric group with the abelian group, the cyclotomic
-power action on those classes, and the two invariant packages that drive
-asymptotic field counts: the minimal-index data for the product group and the
-growth constants for the abelian group alone.
+direct product of a symmetric group with the abelian group, and the two
+invariant packages, in closed form, that drive asymptotic field counts: the
+minimal-index data for the product group and the growth constants for the
+abelian group alone.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .errors import DegreeMismatchError, DomainError, Frozen, parse_int
+from .errors import DegreeMismatchError, DomainError, Frozen, cached_property, parse_int
 from .perms import CycleType, partitions
 
 _LABEL_RE = re.compile(r"^C([0-9]+)(?:xC([0-9]+))*$")
@@ -231,27 +231,6 @@ def regular_cycle_type(a: AbelianElement) -> CycleType:
     return CycleType((order,) * (a.group.order // order))
 
 
-def galois_orbits(group: AbelianGroup) -> list[tuple[AbelianElement, ...]]:
-    """Orbits of the power maps ``a -> k*a`` over all k coprime to the group
-    exponent, each orbit sorted by residue vector, orbits sorted by their
-    smallest member.
-
-    >>> [len(o) for o in galois_orbits(AbelianGroup.from_label("C5"))]
-    [1, 4]
-    """
-    exponent = group.exponent
-    units = [k for k in range(1, exponent + 1) if gcd(k, exponent) == 1]
-    remaining = {a.residues: a for a in group.elements()}
-    orbits: list[tuple[AbelianElement, ...]] = []
-    while remaining:
-        seed = remaining[min(remaining)]
-        orbit = {seed.scale(k).residues for k in units}
-        orbits.append(tuple(group.element(r) for r in sorted(orbit)))
-        for r in orbit:
-            del remaining[r]
-    return orbits
-
-
 @lru_cache(maxsize=None)
 def _abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
     prime_power_lists = [
@@ -305,32 +284,6 @@ def conjugacy_classes_product(d: int, group: AbelianGroup) -> list[ClassPair]:
     ]
 
 
-def cyclotomic_class_orbits(
-    group: AbelianGroup, classes: list[ClassPair]
-) -> list[tuple[ClassPair, ...]]:
-    """Orbits of the cyclotomic power action ``(g, a) -> (g^k, k*a)`` over all
-    k coprime to the product group's exponent, each orbit sorted, orbits
-    sorted by their smallest member.
-
-    Every cycle length of S_d divides that exponent, hence is coprime to k,
-    so g^k has the cycle type of g and only the abelian coordinate moves.
-    The units mod the exponent reduce onto the units mod exp(A), so the orbit
-    of (g, a) is {g} x (the :func:`galois_orbits` orbit of a), for every d.
-    """
-    orbit_of = {a: orbit for orbit in galois_orbits(group) for a in orbit}
-    present = set(classes)
-    orbits: dict[tuple[ClassPair, ...], None] = {}
-    for g, h in sorted(present, key=lambda c: (c[0].parts, c[1].residues)):
-        orbit = tuple((g, a) for a in orbit_of[h])
-        if not present.issuperset(orbit):
-            # Power maps permute the full class list; a miss can only
-            # happen if the caller passed a strict subset that is not
-            # power-closed.
-            raise DomainError("class list is not closed under power maps")
-        orbits[orbit] = None
-    return list(orbits)
-
-
 class MalleInvariants(Frozen, namedtuple("MalleInvariants", "a exponent b")):
     """Minimal-index data governing the conjectured growth rate of field
     counts: the count grows like X^(1/a) * (log X)^(b-1)."""
@@ -349,7 +302,9 @@ def malle_invariants_product(d: int, group: AbelianGroup) -> MalleInvariants:
     (g, 0) has |A| * ind(g) >= 2|A|.  For h != 0, an orbit of <(g, h)> above an
     h_reg-cycle of length c has a multiple of c points, so at most d orbits lie
     above it, and ``pair_index(g, h_reg)`` >= d * ind(h_reg) >= d|A|/2 > |A|.
-    The one minimal class (tau, 0) is fixed by the power maps, so b = 1.
+    The one minimal class (tau, 0) is fixed by the power maps, so b = 1: the
+    test ``test_minimal_index_is_group_order_and_orbit_unique`` counts its
+    orbits with the enumerating oracle ``cyclotomic_class_orbits``.
 
     >>> malle_invariants_product(3, AbelianGroup.from_label("C2"))
     MalleInvariants(a=2, exponent=Fraction(1, 2), b=1)

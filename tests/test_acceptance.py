@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import acceptance_report
 from goldens import GOLDEN_TABLES, all_pattern_strings, load_golden
+from oracles import galois_orbits
 
 from sdxa.census import (
     compose_disc,
@@ -39,7 +40,6 @@ from sdxa.groups import (
     abelian_groups_up_to,
     conjugacy_classes_product,
     element_order,
-    galois_orbits,
     malle_invariants_product,
     regular_cycle_type,
     regular_permutation,

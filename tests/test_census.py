@@ -329,6 +329,47 @@ def test_repeated_chunks_share_one_datum_within_one_file_only():
     assert first.records[0].local[0] == second.records[0].local[0]
 
 
+def _tame_classes(dataset: Dataset) -> list[CycleType]:
+    return [datum.tame_class for rec in dataset.records for datum in rec.local
+            if datum.tame_class is not None]
+
+
+def test_one_load_builds_each_inertia_class_once_and_shares_none_with_another(monkeypatch):
+    built: list[tuple[int, ...]] = []
+    original = CycleType.__new__
+
+    def counted(cls, parts):
+        built.append(parts)
+        return original(cls, parts)
+
+    monkeypatch.setattr(CycleType, "__new__", counted)
+    first = ingest(str(FIXTURE))
+    assert sorted(built) == [(2,), (2, 1), (3,)]
+    assert len({id(ct) for ct in _tame_classes(first)}) == 3
+    second = ingest(str(FIXTURE))
+    assert len(built) == 6
+    assert {id(ct) for ct in _tame_classes(first)}.isdisjoint(
+        id(ct) for ct in _tame_classes(second))
+    assert _tame_classes(first) == _tame_classes(second)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t(0.1)", "bad local datum '{}': parts must be positive: (0, 1)"),
+    ("t(2..1)", "bad cycle lengths in '{}'"),
+    ("w(0)", "bad local datum '{}': a wild datum must carry a positive valuation"),
+    ("x(2.1)", "local datum '{}' is neither t(...) nor w(...)"),
+], ids=["zero-part", "empty-part", "zero-valuation", "neither"])
+def test_a_bad_inertia_text_names_each_chunk_and_line_it_is_in(text, message):
+    # parse_record shares the caches of one load, as the records of a file do
+    load_dataset("")
+    for prime, line_number in ((5, 2), (7, 9)):
+        chunk = f"{prime}:{text}"
+        with pytest.raises(RecordParseError) as err:
+            parse_record(f"a;3;S3;-{prime};{chunk};", line_number)
+        assert str(err.value) == f"line {line_number}: " + message.format(chunk)
+        assert err.value.line_number == line_number
+
+
 def test_wild_valuation_must_be_positive():
     with pytest.raises(RecordParseError):
         parse_record("a;3;S3;-23;2:w(0);")

@@ -284,6 +284,9 @@ def test_tail_bound_epsilon_must_be_rational(capsys):
 
 TAIL = ["tail-bound", "--d", "3", "--A", "C2", "--m", "2", "--Y", "16"]
 STRICT_FLAGS = {
+    "tail-Y-arabic": (TAIL[:-1] + ["١٦"], "--Y", "invalid float value: '١٦'"),
+    "tail-Y-underscore": (TAIL + ["1_6"], "--Y", "invalid float value: '1_6'"),
+    "tail-Y-space": (TAIL[:-1] + [" 16"], "--Y", "invalid float value: ' 16'"),
     "d-arabic": (["invariants", "--A", "C2", "--d", "٣"], "--d", "invalid int value: '٣'"),
     "d-plus": (["invariants", "--A", "C2", "--d=+3"], "--d", "invalid int value: '+3'"),
     "d-space": (["invariants", "--A", "C2", "--d", " 3"], "--d", "invalid int value: ' 3'"),
@@ -313,6 +316,19 @@ def test_a_numeric_flag_reads_ascii_digits_or_is_a_usage_error(capsys, argv, fla
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("y", ["inf", "nan", "1e400"])
+def test_a_cutoff_the_float_reader_takes_must_still_be_finite(capsys, y):
+    code, out, err = run(capsys, *TAIL[:-1], y)
+    assert (code, out) == (1, "")
+    assert err == f"error: cutoff y must be finite, got {float(y)}\n"
+
+
+def test_a_cutoff_in_exponent_form_prints_a_row(capsys):
+    code, out, _ = run(capsys, *TAIL, "4.57556e+11", "--format", "tsv")
+    assert code == 0
+    assert [row.split("\t")[0] for row in out.splitlines()] == ["y", "16", "4.57556e+11"]
 
 
 @pytest.mark.parametrize("beta,epsilon,exponent", [

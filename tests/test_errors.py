@@ -1,7 +1,8 @@
 """The one reader of integer text, ``errors.parse_int``, the rational reader
-``errors.parse_fraction`` built on it, and the guard that keeps them the only
-ones: no other function in ``src/sdxa`` calls ``int()`` or hands text to
-``Fraction``."""
+``errors.parse_fraction`` built on it, the float reader ``errors.parse_float``,
+and the guard that keeps them the only ones: no other function in
+``src/sdxa`` calls ``int()``, hands text to ``Fraction`` or hands ``float`` on,
+as an argparse ``type=float`` does."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdxa.errors import INT_MAX_STR_DIGITS, DomainError, parse_fraction, parse_int
+from sdxa.errors import INT_MAX_STR_DIGITS, DomainError, parse_float, parse_fraction, parse_int
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sdxa"
 N = INT_MAX_STR_DIGITS
@@ -123,6 +124,39 @@ def test_a_rational_names_the_caller_s_error_and_message_even_past_the_limit():
             parse_fraction(text, DomainError, "bad rate")
 
 
+@pytest.mark.parametrize("text", ["16", "-0.5", ".5", "3.", "4.57556e+11", "1E3", "inf",
+                                  "-Infinity", "nan", "1e400"])
+def test_ascii_float_text_is_read_as_float_reads_it(text):
+    value = parse_float(text)
+    assert type(value) is float
+    assert value == float(text) or value != value and text == "nan"
+
+
+@pytest.mark.parametrize("text", ["١٦", "１６", "1_6", "1_000.5", " 16", "16 ", "16\n", "\t16",
+                                  "", "abc", "0x10", "1e", "--1"])
+def test_any_other_float_spelling_is_refused_with_float_s_message(text):
+    with pytest.raises(ValueError) as err:
+        parse_float(text)
+    assert str(err.value) == f"could not convert string to float: {text!r}"
+    with pytest.raises(DomainError, match="^bad cutoff$"):
+        parse_float(text, DomainError, "bad cutoff")
+
+
+@given(st.text(alphabet="0123456789-+.eE_ ١infa", max_size=8))
+def test_a_float_reads_what_float_reads_in_ascii_without_underscores_or_spaces(text):
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_float(text)
+    else:
+        if text.isascii() and "_" not in text and " " not in text:
+            assert parse_float(text) == expected or expected != expected
+        else:
+            with pytest.raises(ValueError):
+                parse_float(text)
+
+
 # Where ``int()`` may be called in the package: inside the reader, and where the
 # census takes a JSON number (not text) as an integer.
 INT_CALLERS = {("errors.py", "parse_int"), ("census.py", "_integer")}
@@ -138,9 +172,11 @@ def bare_int_calls(source: str, filename: str, name: str = "int") -> list[str]:
     call, as in ``map(int, parts)``, ``key=int`` or an argparse ``type=int``)
     outside the functions allowed one: :data:`INT_CALLERS` for ``int``,
     :data:`FRACTION_CALLERS` for ``Fraction``, which is not flagged with two
-    arguments.  The ``getattr(sys, ..., int)`` fallback that reads the digit
-    limit is no such call."""
-    allowed = INT_CALLERS if name == "int" else FRACTION_CALLERS
+    arguments.  ``float`` is flagged only where it is handed on, as in an
+    argparse ``type=float``: a call ``float(x)`` converts a number.  The
+    ``getattr(sys, ..., int)`` fallback that reads the digit limit, and a type
+    handed to ``isinstance``, are no such call."""
+    allowed = {"int": INT_CALLERS, "Fraction": FRACTION_CALLERS}.get(name, set())
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
@@ -148,9 +184,10 @@ def bare_int_calls(source: str, filename: str, name: str = "int") -> list[str]:
             function = node.name
         if isinstance(node, ast.Call) and (filename, function) not in allowed:
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-            handed = [] if callee == "getattr" else [*node.args,
+            handed = [] if callee in ("getattr", "isinstance") else [*node.args,
                                                      *(k.value for k in node.keywords)]
-            called = [] if name == "Fraction" and len(handed) == 2 else [node.func]
+            called = ([] if name == "float" or name == "Fraction" and len(handed) == 2
+                      else [node.func])
             for target in [*called, *handed]:
                 if isinstance(target, ast.Name) and target.id == name:
                     found.append(f"{filename}:{node.lineno}")
@@ -174,6 +211,24 @@ def test_no_function_but_the_rational_reader_hands_fraction_text():
     found = [hit for path in modules
              for hit in bare_int_calls(path.read_text(), path.name, "Fraction")]
     assert found == []
+
+
+def test_no_option_hands_float_text_past_the_float_reader():
+    modules = sorted(SRC.glob("*.py"))
+    found = [hit for path in modules
+             for hit in bare_int_calls(path.read_text(), path.name, "float")]
+    assert found == []
+
+
+def test_the_guard_sees_float_handed_on_but_not_called():
+    source = (
+        "parser.add_argument('--Y', type=float, nargs='+')\n"
+        "def ratio(x):\n"
+        "    return float(x) / 2\n"
+        "CUTOFFS = list(map(float, ['16', '32']))\n"
+        "IS_REAL = isinstance(CUTOFFS[0], float)\n"
+    )
+    assert bare_int_calls(source, "cli.py", "float") == ["cli.py:1", "cli.py:4"]
 
 
 def test_the_guard_sees_each_way_of_calling_int():

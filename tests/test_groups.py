@@ -23,16 +23,16 @@ from sdxa.groups import (
     abelian_groups_of_order,
     abelian_groups_up_to,
     conjugacy_classes_product,
-    cyclotomic_class_orbits,
     element_order,
     factorize,
-    galois_orbits,
     is_prime,
     malle_invariants_product,
     regular_cycle_type,
     regular_permutation,
 )
 from sdxa.perms import CycleType, cycle_type, ind, pair_index, partitions
+
+from oracles import cyclotomic_class_orbits, galois_orbits
 
 GROUP_LABELS = st.sampled_from(
     ["C2", "C3", "C4", "C2xC2", "C5", "C6", "C7", "C8", "C2xC4", "C2xC2xC2", "C12"]
@@ -343,6 +343,7 @@ class TestMalleInvariants:
                     if pair_index(g, regular_cycle_type(h)) == inv.a
                 ]
                 assert minimal == [(transposition, group.identity())]
+                assert len(cyclotomic_class_orbits(group, minimal)) == inv.b
 
 
 class TestAbelianCountingConstants:

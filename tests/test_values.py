@@ -21,6 +21,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,13 @@ from sdxa.census import (
     UniformityRow,
     compose_disc,
 )
-from sdxa.errors import DegreeMismatchError, DomainError, Frozen, FrozenInstanceError
+from sdxa.errors import (
+    DegreeMismatchError,
+    DomainError,
+    Frozen,
+    FrozenInstanceError,
+    cached_property,
+)
 from sdxa.groups import AbelianElement, AbelianGroup, MalleInvariants
 from sdxa.indexcalc import BetaResult, IndexComparison, TailEstimate
 from sdxa.perms import CycleType
@@ -316,7 +323,38 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
     assert "sdxa.cli" in loaded and "sdxa.census" in loaded
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not {"dataclasses", "inspect", "importlib.resources"} & set(loaded)
+
+
+def test_a_cached_property_computes_once_into_the_instance_dict():
+    calls = []
+
+    class Point(Frozen, namedtuple("Point", "x")):
+        @cached_property
+        def double(self) -> int:
+            """Twice x."""
+            calls.append(self.x)
+            return 2 * self.x
+
+    point = Point(3)
+    assert vars(point) == {} and calls == []
+    assert point.double == 6 and point.double == 6 and calls == [3]
+    assert vars(point) == {"double": 6}
+    assert point == Point(3) and hash(point) == hash(Point(3))
+    assert Point.double is vars(Point)["double"] and Point.double.__doc__ == "Twice x."
+    with pytest.raises(FrozenInstanceError):
+        point.double = 7
+
+
+def test_no_module_uses_functools_cached_property():
+    # its lock costs each first access; sdxa.errors.cached_property takes none
+    for path in sorted((ROOT / "src" / "sdxa").glob("*.py")):
+        uses = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name == "cached_property" for alias in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                and getattr(node.value, "id", None) == "functools"]
+        assert uses == [], path.name
 
 
 def test_no_module_formats_text_with_percent():
