@@ -67,7 +67,7 @@ from .splitting import generate_table
 
 def bundled_fixture_path() -> str:
     """Location of the field-census fixture shipped inside the package; its
-    import, with all it loads, waits for the first parser with ``--dataset``."""
+    import, with all it loads, waits for a command run without ``--dataset``."""
     from importlib.resources import files
     return str(files("sdxa").joinpath("data/cubic_quadratic_fields.txt"))
 
@@ -304,8 +304,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--A", required=True,
                        help="abelian group label, e.g. C2 or C2xC4")
     if name in ("census", "compose", "uniformity"):
-        p.add_argument("--dataset", default=bundled_fixture_path(),
-                       help="record file (default: bundled fixture)")
+        p.add_argument("--dataset", help="record file (default: bundled fixture)")
     if name != "verify-lemmas":
         p.add_argument("--format", choices=("plain", "tsv"), default="plain")
     if name == "tail-bound":
@@ -380,6 +379,8 @@ def main(argv: list[str] | None = None) -> int:
         # No subcommand named first, or tokens its parser left over: the full
         # tree prints the help or the usage error.
         args = build_parser().parse_args(argv)
+    if getattr(args, "dataset", "") is None:  # no --dataset: the bundled fixture
+        args.dataset = bundled_fixture_path()
     try:
         return args.func(args)
     except (SdxaError, OSError) as exc:

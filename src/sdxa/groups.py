@@ -17,7 +17,6 @@ import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DegreeMismatchError, DomainError, Frozen, cached_property, parse_int
@@ -231,19 +230,6 @@ def regular_cycle_type(a: AbelianElement) -> CycleType:
     return CycleType((order,) * (a.group.order // order))
 
 
-@lru_cache(maxsize=None)
-def _abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
-    prime_power_lists = [
-        [tuple(p**k for k in part.parts) for part in partitions(e)]
-        for p, e in factorize(n).items()
-    ]
-    groups = [
-        AbelianGroup(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*prime_power_lists)
-    ]
-    return tuple(sorted(set(groups), key=lambda g: g.invariant_factors))
-
-
 def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """All isomorphism classes of abelian groups of order ``n``.
 
@@ -252,7 +238,13 @@ def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """
     if n < 1:
         raise DomainError("order must be positive")
-    return list(_abelian_groups_of_order(n))
+    prime_power_lists = [
+        [tuple(p**k for k in part.parts) for part in partitions(e)]
+        for p, e in factorize(n).items()
+    ]
+    groups = (AbelianGroup(tuple(itertools.chain.from_iterable(combo)))
+              for combo in itertools.product(*prime_power_lists))
+    return sorted(groups, key=lambda g: g.invariant_factors)
 
 
 def abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:

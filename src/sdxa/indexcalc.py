@@ -37,7 +37,7 @@ from .groups import (
 from .perms import CycleType, ind, pair_index, partitions
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: cli.main may run any number of times in one process
 def delta(g: CycleType, h: AbelianElement) -> int:
     """Discrepancy of the pair (g, h) in the degree-(d*|A|) product action:
 

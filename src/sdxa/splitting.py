@@ -293,7 +293,6 @@ class ValuationTable(Frozen, namedtuple("ValuationTable", "d group rows delta_ca
     delta_cap: int
 
 
-@lru_cache(maxsize=None)
 def generate_table(d: int, group: AbelianGroup) -> ValuationTable:
     """Valuation table for composita of a degree-d field with a ramified
     prime-cyclic field: one row per nontrivial inertia class of the degree-d

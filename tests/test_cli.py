@@ -209,6 +209,16 @@ def test_verify_lemmas_reports_equality_classes(capsys):
     assert "equality classes: ((3), (1)), ((3), (2))" in out
 
 
+def test_delta_keeps_at_most_its_bound_across_commands(capsys):
+    # S5 x C211 has 7 * 211 - 1 = 1,476 classes; a process that goes on
+    # calling main keeps no more of them than delta's bound
+    indexcalc.delta.cache_clear()
+    assert run(capsys, "verify-lemmas", "--d", "5", "--A", "C211")[0] == 0
+    info = indexcalc.delta.cache_info()
+    assert info.misses == 1476 and info.maxsize is not None
+    assert info.currsize <= info.maxsize < info.misses
+
+
 # The classes of S3 x C2 with nontrivial abelian part and all its nontrivial
 # classes, each in enumeration order.
 C2_CLASSES = ["((3), (1))", "((2,1), (1))", "((1,1,1), (1))"]
@@ -1308,3 +1318,15 @@ def test_a_command_builds_only_the_subparser_it_selects(capsys, monkeypatch,
     monkeypatch.setattr(cli, "bundled_fixture_path", no_fixture)
     for name in ("invariants", "delta-table", "verify-lemmas", "tail-bound"):
         assert run(capsys, name, *lines[name])[0] == 0
+    # a named record file needs no default: the bundled path is looked up
+    # only when --dataset is absent, and an empty name is still the user's
+    for name in ("census", "compose", "uniformity"):
+        assert run(capsys, name, *lines[name], "--dataset", FIXTURE)[0] == 0
+    assert run(capsys, "census", *lines["census"], "--dataset", "") == (
+        1, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
+def test_census_heading_names_the_bundled_fixture_by_default(capsys):
+    code, out, _ = run(capsys, "census", "--d", "3", "--A", "C2", "--X", "1000")
+    assert code == 0
+    assert out.splitlines()[0] == f"dataset: {FIXTURE} (C2=61, S3=324)"

@@ -156,6 +156,13 @@ class TestProductEmbed:
         with pytest.raises(DomainError):
             product_embed(identity, identity)
 
+    def test_degree_cap_is_inclusive(self):
+        # 100 * 100 = 10,000 is the cap itself; 73 * 137 = 10,001 is one past it
+        hundred = tuple(range(1, 101))
+        assert product_embed(hundred, hundred) == tuple(range(1, 10_001))
+        with pytest.raises(DomainError, match="exceeds the configured cap"):
+            product_embed(tuple(range(1, 74)), tuple(range(1, 138)))
+
     def test_oracle_equivalence_on_class_representatives(self):
         # Exhaustive over conjugacy-class representatives for m <= 5, n <= 8:
         # the gcd formula, the embedded permutation, and the direct orbit walk
@@ -187,5 +194,6 @@ class TestPartitions:
 
     def test_all_permutations_cap(self):
         assert len(all_permutations(4)) == 24
+        assert len(all_permutations(8)) == 40_320
         with pytest.raises(DomainError):
             all_permutations(9)

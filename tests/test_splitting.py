@@ -363,7 +363,7 @@ def test_table_path_builds_no_permutation(monkeypatch):
     decomposition_patterns.cache_clear()
     for d in (3, 4, 5):
         for label in ("C2", "C3", "C5", "C7"):
-            generate_table.__wrapped__(d, AbelianGroup.from_label(label))
+            generate_table(d, AbelianGroup.from_label(label))
 
 
 def test_degree_seven_needs_no_cap():

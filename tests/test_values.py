@@ -357,6 +357,41 @@ def test_no_module_uses_functools_cached_property():
         assert uses == [], path.name
 
 
+def _memo_sites(tree: ast.Module) -> list[str]:
+    """The function each ``lru_cache``/``functools.cache`` use decorates, or
+    ``line N`` for a use outside a decorator."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in ("lru_cache", "cache")}
+    decorated = {id(sub): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for decorator in fn.decorator_list for sub in ast.walk(decorator)}
+    return sorted(decorated.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                  and getattr(node.value, "id", None) == "functools")
+
+
+def test_only_work_that_is_reused_is_memoised():
+    # a process-wide cache stays only where a command or a session hits it;
+    # the census caches live for one load, and load_dataset empties each
+    sites = {path.name: _memo_sites(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "sdxa").glob("*.py"))}
+    per_load = ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"]
+    assert {name: found for name, found in sites.items() if found} == {
+        "census.py": per_load,
+        "indexcalc.py": ["delta"],
+        "splitting.py": ["decomposition_patterns"],
+    }
+    census_tree = ast.parse((ROOT / "src" / "sdxa" / "census.py").read_text())
+    load = next(node for node in ast.walk(census_tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "load_dataset")
+    cleared = [getattr(node.func.value, "id", None) for node in ast.walk(load)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "cache_clear"]
+    assert sorted(cleared) == per_load
+
+
 def test_no_module_formats_text_with_percent():
     # a value is a tuple, so "%s" % value would spread its fields over the format
     for path in sorted((ROOT / "src" / "sdxa").glob("*.py")):
