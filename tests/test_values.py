@@ -364,7 +364,7 @@ def _memo_sites(tree: ast.Module) -> list[str]:
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              for alias in node.names if alias.name in ("lru_cache", "cache")}
     decorated = {id(sub): fn.name for fn in ast.walk(tree)
-                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 if isinstance(fn, ast.FunctionDef)
                  for decorator in fn.decorator_list for sub in ast.walk(decorator)}
     return sorted(decorated.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and node.id in names
@@ -375,16 +375,16 @@ def _memo_sites(tree: ast.Module) -> list[str]:
 def test_only_work_that_is_reused_is_memoised():
     # a process-wide cache stays only where a command or a session hits it;
     # the census caches live for one load, and load_dataset empties each
-    sites = {path.name: _memo_sites(ast.parse(path.read_text()))
+    trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "sdxa").glob("*.py"))}
+    sites = {name: _memo_sites(tree) for name, tree in trees.items()}
     per_load = ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"]
     assert {name: found for name, found in sites.items() if found} == {
         "census.py": per_load,
         "indexcalc.py": ["delta"],
         "splitting.py": ["decomposition_patterns"],
     }
-    census_tree = ast.parse((ROOT / "src" / "sdxa" / "census.py").read_text())
-    load = next(node for node in ast.walk(census_tree)
+    load = next(node for node in ast.walk(trees["census.py"])
                 if isinstance(node, ast.FunctionDef) and node.name == "load_dataset")
     cleared = [getattr(node.func.value, "id", None) for node in ast.walk(load)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
