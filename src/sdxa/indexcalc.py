@@ -19,6 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import (
     DivergentSeriesError,
@@ -178,8 +179,9 @@ class BetaResult(Frozen, namedtuple("BetaResult", "value attained per_class")):
 
     ``per_class`` lists every class with both components nontrivial together
     with its exact contribution; ``attained`` are the classes achieving the
-    maximum.  Each contribution is computed through two different expressions
-    (theta-based and delta-based) that must agree identically.
+    maximum.  Each contribution is computed through two different routes
+    that must agree identically: theta-based, ``(d/|A|) * theta + r[g]``, and
+    pair_index-based, ``r[g] + ind(g) - pair_index(g, h_reg) / |A|``.
     """
 
     value: Fraction
@@ -212,15 +214,11 @@ def beta(d: int, group: AbelianGroup, r: dict[CycleType, Fraction]) -> BetaResul
             continue
         r_g = _exponent(r, g)
         via_theta = Fraction(d, order) * theta(g, h) + r_g
-        via_delta = (
-            Fraction(delta(g, h), order)
-            - Fraction(d * ind(regular_cycle_type(h)), order)
-            + r_g
-        )
-        if via_theta != via_delta:
+        via_pair_index = r_g + ind(g) - Fraction(pair_index(g, regular_cycle_type(h)), order)
+        if via_theta != via_pair_index:
             raise AssertionError(
                 f"internal identity violated at class ({g}, {h}): "
-                f"{via_theta} != {via_delta}"
+                f"{via_theta} != {via_pair_index}"
             )
         contributions.append(((g, h), via_theta))
     if not contributions:
@@ -239,23 +237,18 @@ def hypothesis_b_margin(
 
         r[g] + ind(g) - pair_index(g, h_reg) / |A|
 
-    over nontrivial h in the group.  All margins strictly negative is the
+    over nontrivial h in the group: the maximum of ``beta``'s per-class
+    contributions with that g.  All margins strictly negative is the
     verifiable form of the counting hypothesis.
     """
-    order = group.order
-    margins: dict[CycleType, Fraction] = {}
-    nontrivial_elements = [h for h in group.elements() if not h.is_identity]
-    if not nontrivial_elements:
+    if group.order == 1:
         raise DomainError("margins need a nontrivial group")
-    for g in partitions(d):
-        if g.is_identity():
-            continue
-        r_g = _exponent(r, g)
-        margins[g] = max(
-            r_g + ind(g) - Fraction(pair_index(g, regular_cycle_type(h)), order)
-            for h in nontrivial_elements
-        )
-    return margins
+    if len(partitions(d)) == 1:  # raises for d < 0; S_0 and S_1 have no nontrivial class
+        return {}
+    return {
+        g: max(value for _, value in rows)
+        for g, rows in groupby(beta(d, group, r).per_class, key=lambda row: row[0][0])
+    }
 
 
 class TailEstimate(Frozen, namedtuple("TailEstimate", "value comparator r_start terms")):

@@ -158,7 +158,7 @@ def inertia_orbits(g: CycleType, h: AbelianElement) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded, as delta is: cli.main may run any number of times
 def decomposition_patterns(g: CycleType, h: AbelianElement) -> frozenset[SplittingPattern]:
     """Every splitting pattern compatible with inertia class (g, h).
 

@@ -183,6 +183,12 @@ def test_parse_quadratic_record_round_trip():
     assert rec.serialize() == line
 
 
+def test_a_symmetric_record_has_no_abelian_group():
+    rec = record("3.-23.1;3;S3;-23;23:t(2.1);")
+    with pytest.raises(DomainError, match="^record '3.-23.1' is not abelian$"):
+        rec.abelian_group
+
+
 def test_abelian_group_is_parsed_once_per_record():
     rec = next(r for r in ingest(str(FIXTURE)).records if not r.is_symmetric)
     assert rec.abelian_group is rec.abelian_group

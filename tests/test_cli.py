@@ -136,13 +136,18 @@ def test_python_m_sdxa_runs_main(capsys):
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
-    def python_m_sdxa(*argv):
-        return subprocess.run([sys.executable, "-m", "sdxa", *argv],
+    def python_m(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, text=True, env=env)
 
-    ok = python_m_sdxa("invariants", "--d", "3", "--A", "C2")
+    ok = python_m("sdxa", "invariants", "--d", "3", "--A", "C2")
     assert (ok.returncode, ok.stdout) == (0, expected)
-    assert python_m_sdxa("invariants", "--d").returncode == 2
+    assert python_m("sdxa", "invariants", "--d").returncode == 2
+    # python -m sdxa.cli runs the same main as python -m sdxa
+    tsv = ["invariants", "--d", "3", "--A", "C2", "--format", "tsv"]
+    via_package, via_cli = python_m("sdxa", *tsv), python_m("sdxa.cli", *tsv)
+    assert via_cli.returncode == via_package.returncode == 0
+    assert via_cli.stdout == via_package.stdout != ""
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,13 @@ def test_tail_bound_divergent_series_is_an_error(capsys):
                        "--m", "2", "--Y", "16", "--beta", "1/2")
     assert code == 1
     assert "diverges" in err
+
+
+def test_tail_bound_over_the_trivial_group_is_an_error(capsys):
+    code, out, err = run(capsys, "tail-bound", "--d", "3", "--A", "C1",
+                         "--m", "2", "--Y", "16")
+    assert (code, out) == (1, "")
+    assert err == "error: no classes with both components nontrivial (is the group trivial?)\n"
 
 
 def test_tail_bound_epsilon_must_be_rational(capsys):

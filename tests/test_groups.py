@@ -47,6 +47,18 @@ class TestAbelianGroup:
         assert AbelianGroup.from_label("C4xC2").invariant_factors == (2, 4)
         assert AbelianGroup.from_label("C1").is_trivial
 
+    def test_str_is_the_normalised_label(self):
+        assert str(AbelianGroup.from_label("C4xC2")) == "C2xC4"
+
+    def test_elements_of_two_groups_do_not_add(self):
+        c2, c3 = AbelianGroup.from_label("C2"), AbelianGroup.from_label("C3")
+        with pytest.raises(DomainError, match="^elements belong to different groups$"):
+            c2.element((1,)).add(c3.element((1,)))
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(DomainError, match="^order must be positive$"):
+            abelian_groups_of_order(0)
+
     def test_bad_labels_rejected(self):
         for bad in ["", "D4", "C2x", "xC2", "C-2", "C2 x C2"]:
             with pytest.raises(DomainError):

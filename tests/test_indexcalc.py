@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdxa import indexcalc
 from sdxa.errors import (
     DivergentSeriesError,
     DomainError,
@@ -284,6 +285,13 @@ class TestBeta:
         with pytest.raises(MissingExponentError):
             beta(3, AbelianGroup.from_label("C2"), {})
 
+    def test_a_wrong_delta_breaks_the_internal_identity(self, monkeypatch):
+        # the theta route reads delta, the other route only pair_index
+        true_delta = indexcalc.delta
+        monkeypatch.setattr(indexcalc, "delta", lambda g, h: true_delta(g, h) + 1)
+        with pytest.raises(AssertionError, match="internal identity violated"):
+            beta(3, AbelianGroup.from_label("C2"), exponent_presets(3))
+
     def test_preset_negativity_for_all_small_groups(self):
         eps = Fraction(1, 1000)
         for group in abelian_groups_up_to(12):
@@ -329,6 +337,18 @@ class TestHypothesisBMargin:
             hypothesis_b_margin(
                 3, AbelianGroup.from_label("C2"), {CycleType((3,)): Fraction(0)}
             )
+
+    def test_degrees_without_a_nontrivial_class(self):
+        c2 = AbelianGroup.from_label("C2")
+        assert hypothesis_b_margin(0, c2, {}) == {}
+        assert hypothesis_b_margin(1, c2, {}) == {}
+        with pytest.raises(DomainError, match="^n must be non-negative$"):
+            hypothesis_b_margin(-1, c2, {})
+
+    def test_trivial_group_raises(self):
+        for d in (-1, 3):
+            with pytest.raises(DomainError, match="^margins need a nontrivial group$"):
+                hypothesis_b_margin(d, AbelianGroup.from_label("C1"), exponent_presets(3))
 
 
 class TestTailSeries:

@@ -192,6 +192,11 @@ class TestPartitions:
         for n, count in enumerate(expected, start=1):
             assert len(partitions(n)) == count
 
+    def test_negative_n_is_refused(self):
+        assert [ct.parts for ct in partitions(0)] == [()]
+        with pytest.raises(DomainError, match="^n must be non-negative$"):
+            partitions(-1)
+
     def test_all_permutations_cap(self):
         assert len(all_permutations(4)) == 24
         assert len(all_permutations(8)) == 40_320

@@ -402,6 +402,18 @@ def test_eight_fixed_points_over_c2_give_27_patterns():
     assert len(patterns) == 27
 
 
+def test_decomposition_patterns_keeps_at_most_its_bound():
+    # the 1,434 classes of S3 x A over the abelian groups of order <= 24 are
+    # more than the bound, so a process that goes on asking keeps no more
+    decomposition_patterns.cache_clear()
+    for group in groups.abelian_groups_up_to(24):
+        for g, h in groups.conjugacy_classes_product(3, group):
+            decomposition_patterns(g, h)
+    info = decomposition_patterns.cache_info()
+    assert info.misses == 1434 and info.maxsize is not None
+    assert info.currsize <= info.maxsize < info.misses
+
+
 class TestDecompositionPatterns:
     def test_cubic_transposition_with_involution(self):
         c2 = AbelianGroup.from_label("C2")

@@ -357,32 +357,52 @@ def test_no_module_uses_functools_cached_property():
         assert uses == [], path.name
 
 
-def _memo_sites(tree: ast.Module) -> list[str]:
+def _memo_sites(tree: ast.Module) -> dict[str, bool]:
     """The function each ``lru_cache``/``functools.cache`` use decorates, or
-    ``line N`` for a use outside a decorator."""
-    names = {alias.asname or alias.name for node in ast.walk(tree)
+    ``line N`` for any other use, mapped to whether its ``maxsize`` is a
+    literal int: ``functools.cache`` and ``maxsize=None`` keep every entry,
+    and a bare ``lru_cache`` keeps 128."""
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              for alias in node.names if alias.name in ("lru_cache", "cache")}
-    decorated = {id(sub): fn.name for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef)
-                 for decorator in fn.decorator_list for sub in ast.walk(decorator)}
-    return sorted(decorated.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
-                  if isinstance(node, ast.Name) and node.id in names
-                  or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
-                  and getattr(node.value, "id", None) == "functools")
+
+    def kind(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            return node.attr if node.attr in ("lru_cache", "cache") else None
+        return None
+
+    decorated = {}
+    for fn in ast.walk(tree):
+        for decorator in getattr(fn, "decorator_list", []):
+            # a bare decorator reads as a call without arguments
+            call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
+            sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args
+            size = sizes[0] if sizes else ast.Constant(128)
+            decorated[id(call.func)] = fn.name, kind(call.func) == "lru_cache" and (
+                isinstance(size, ast.Constant) and type(size.value) is int)
+    return dict(decorated.get(id(node), (f"line {node.lineno}", False))
+                for node in ast.walk(tree) if kind(node))
 
 
 def test_only_work_that_is_reused_is_memoised():
-    # a process-wide cache stays only where a command or a session hits it;
-    # the census caches live for one load, and load_dataset empties each
+    # a process-wide cache stays only where a command or a session hits it,
+    # and keeps a bounded number of entries; the census caches live for one
+    # load, and load_dataset empties each
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "sdxa").glob("*.py"))}
     sites = {name: _memo_sites(tree) for name, tree in trees.items()}
     per_load = ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"]
-    assert {name: found for name, found in sites.items() if found} == {
+    assert {name: sorted(found) for name, found in sites.items() if found} == {
         "census.py": per_load,
         "indexcalc.py": ["delta"],
         "splitting.py": ["decomposition_patterns"],
+    }
+    unbounded = {name: sorted(site for site, bounded in found.items() if not bounded)
+                 for name, found in sites.items()}
+    assert {name: found for name, found in unbounded.items() if found} == {
+        "census.py": per_load,
     }
     load = next(node for node in ast.walk(trees["census.py"])
                 if isinstance(node, ast.FunctionDef) and node.name == "load_dataset")
