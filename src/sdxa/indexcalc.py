@@ -19,7 +19,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 from .errors import (
     DivergentSeriesError,
@@ -245,10 +244,10 @@ def hypothesis_b_margin(
         raise DomainError("margins need a nontrivial group")
     if len(partitions(d)) == 1:  # raises for d < 0; S_0 and S_1 have no nontrivial class
         return {}
-    return {
-        g: max(value for _, value in rows)
-        for g, rows in groupby(beta(d, group, r).per_class, key=lambda row: row[0][0])
-    }
+    margins: dict[CycleType, Fraction] = {}
+    for (g, _), value in beta(d, group, r).per_class:
+        margins[g] = max(margins.get(g, value), value)
+    return margins
 
 
 class TailEstimate(Frozen, namedtuple("TailEstimate", "value comparator r_start terms")):
