@@ -191,8 +191,6 @@ class TestPartitions:
         expected = [1, 2, 3, 5, 7, 11, 15, 22]
         for n, count in enumerate(expected, start=1):
             assert len(partitions(n)) == count
-
-    def test_negative_n_is_refused(self):
         assert [ct.parts for ct in partitions(0)] == [()]
         with pytest.raises(DomainError, match="^n must be non-negative$"):
             partitions(-1)
