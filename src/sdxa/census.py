@@ -637,10 +637,15 @@ def product_order(d: int, group: AbelianGroup) -> int:
     return order
 
 
-def _power_below(base: int, power: int, x: int) -> bool:
-    """Whether ``base ** power < x``, never building a power that must exceed
-    x: for ``base >= 2`` and ``power > x.bit_length()``, it is ``>= 2 ** power > x``."""
-    return (base < 2 or power <= x.bit_length()) and base**power < x
+def _root_ceiling(x: int, power: int) -> int:
+    """The least integer r with ``r ** power >= x`` (x >= 0, power >= 1), bisected in
+    [2**(e - 1), 2**e], e = ceil(x.bit_length() / power), so no power tops x * 2**power."""
+    high = 1 << -(-x.bit_length() // power)
+    low = high >> 1
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if mid**power < x else (low, mid)
+    return low
 
 
 Pair = tuple[FieldRecord, FieldRecord]
@@ -654,10 +659,10 @@ def _coverage_warnings(
     f_label, k_label = f"S{d}", group.label()
     for label, power in ((f_label, group.order), (k_label, d)):
         warnings += missing_coverage(dataset, label)
-        if label in coverage and _power_below(coverage[label], power, x):
+        if label in coverage and coverage[label] < (needed := _root_ceiling(x, power)):
             warnings.append(
                 f"X = {x} needs {label} records up to "
-                f"|disc| = {math.ceil(x ** (1 / power))}, coverage asserts only "
+                f"|disc| = {needed}, coverage asserts only "
                 f"{coverage[label]}"
             )
     return warnings

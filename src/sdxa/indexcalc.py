@@ -15,6 +15,7 @@ A = ``h.group`` off it; a function over all classes takes ``(d, group[, r])``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -113,17 +114,20 @@ def index_compare(g: CycleType, h: AbelianElement) -> IndexComparison:
 
 def equality_cases(d: int, group: AbelianGroup) -> list[ClassPair]:
     """All classes (g, h) with h nontrivial where the index inequality is an
-    equality, found by direct comparison (not by the divisibility shortcut).
+    equality, in the lemma's torsion form: the nonzero h in A[k], k the gcd of
+    g's parts, whose residue mod each invariant factor n is a multiple of
+    n / gcd(k, n).  ``verify-lemmas`` checks it against its index_compare scan.
 
     >>> from sdxa.groups import AbelianGroup
     >>> equality_cases(3, AbelianGroup.from_label("C2"))
     []
     """
-    return [
-        (g, h)
-        for g, h in conjugacy_classes_product(d, group)
-        if not h.is_identity and index_compare(g, h).equality
-    ]
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    return [(g, group.element(residues)) for g in partitions(d)
+            for residues in itertools.product(*(
+                range(0, n, n // math.gcd(g.gcd_of_parts(), n)) for n in group.invariant_factors))
+            if any(residues)]
 
 
 def theta(g: CycleType, h: AbelianElement) -> Fraction:
@@ -273,8 +277,8 @@ def _exp_in_float_range(log_value: float, what: str, y: float) -> float:
 def tail_series(
     beta_value: Fraction | float, epsilon: Fraction | float, m: int, y: float
 ) -> TailEstimate:
-    """The dyadic tail sum, with x = 2^(beta+epsilon), r0 = max(0,
-    ceil(log2(y) - m)) and n = r0 + m - 1, in its finite form
+    """The dyadic tail sum, with x = 2^(beta+epsilon), r0 = max(0, k - m) for
+    the least integer k with 2^k >= y, and n = r0 + m - 1, in its finite form
 
         sum_{r >= r0} C(r + m - 1, m - 1) * x^r
             = (1 - x)^(-m) * P[Bin(n, x) >= r0]
@@ -301,7 +305,8 @@ def tail_series(
         raise DomainError(f"cutoff y must be finite, got {y}")
     if y <= 1:
         raise DomainError("cutoff y must exceed 1")
-    r_start = max(0, math.ceil(math.log2(y) - m))
+    a, b = y.as_integer_ratio()  # the least k with b * 2**k >= a: the bit-length gap or one more
+    r_start = max(0, (k := a.bit_length() - b.bit_length()) + (b << k < a) - m)
     try:
         e = float(exponent)
     except OverflowError:  # e is below -1.8e308, so y^e is 0 for every y > 1

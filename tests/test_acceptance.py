@@ -226,13 +226,18 @@ def test_criterion_4_equality_catalogue():
         for d in DEGREES:
             for label in labels:
                 group = AbelianGroup.from_label(label)
-                # equality_cases decides by direct index comparison; the
-                # expected set below is built from the divisibility predicate
-                # alone (criterion 3 established the two agree pointwise).
-                actual = {
-                    (g.parts, h.residues)
-                    for g, h in equality_cases(d, group)
-                }
+                # equality_cases lists the k-torsion of A for each g (k the
+                # gcd of g's parts); it must equal, in order, a direct index
+                # comparison over every class, and the expected set below is
+                # built from the divisibility predicate alone (criterion 3
+                # established that the two agree pointwise).
+                cases = equality_cases(d, group)
+                assert cases == [
+                    (g, h)
+                    for g, h in conjugacy_classes_product(d, group)
+                    if not h.is_identity and index_compare(g, h).equality
+                ]
+                actual = {(g.parts, h.residues) for g, h in cases}
                 expected = {
                     (g.parts, h.residues)
                     for g in partitions(d)

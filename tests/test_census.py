@@ -756,6 +756,11 @@ def test_count_N_coverage_warning_names_the_disc_the_cutoff_needs():
         "X = 100000 needs S3 records up to |disc| = 317, coverage asserts only 200",
         "X = 100000 needs C2 records up to |disc| = 47, coverage asserts only 10",
     )
+    # 2001^5 needs 2001 exactly, where the ceiling of the float root was 2002
+    data = load_dataset("#coverage group=S3 maxdisc=2000\n")
+    for x, root in ((2001**5, 2001), (2001**5 + 1, 2002)):
+        assert count_N(data, 3, AbelianGroup((5,)), x).warnings[0] == (
+            f"X = {x} needs S3 records up to |disc| = {root}, coverage asserts only 2000")
 
 
 def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
@@ -1604,19 +1609,35 @@ def test_equal_groups_from_different_records_share_one_delta_entry(bundled):
 
 
 def test_coverage_power_is_decided_without_building_it():
-    from sdxa.census import _coverage_warnings, _power_below
+    from sdxa.census import _coverage_warnings, _root_ceiling
 
     class Unpowered(int):
         def __pow__(self, power):
             raise AssertionError("the power was built")
 
-    assert not _power_below(Unpowered(2000), 10**12, 10**7)
-    assert not _power_below(2000, 10**12, 10**7)
+    # a power past x's bit length pins the root to 2 with one step, 1 ** power
+    assert _root_ceiling(10**7, 10**12) == 2
+    assert not Unpowered(2000) < _root_ceiling(10**7, 10**12)
+    # the coverage warning's test, coverage < root, is coverage**power < x;
+    # power 0 has no least root and is no group order or degree
     for base in range(6):
-        for power in range(13):
+        for power in range(1, 13):
             for x in range(1, 300):
-                assert _power_below(base, power, x) == (base**power < x)
+                assert (base < _root_ceiling(x, power)) == (base**power < x)
     data = load_dataset("#coverage group=S3 maxdisc=2000\n")
     assert _coverage_warnings(data, 3, AbelianGroup((10**12,)), 10**7) == [
         "no coverage assertion for group C1000000000000"
     ]
+
+
+def test_coverage_root_is_exact_beside_every_perfect_power():
+    from sdxa.census import _root_ceiling
+
+    rng = random.Random(3101)
+    bases = [*range(2, 1001), *(rng.randrange(2, 10**6 + 1) for _ in range(1000))]
+    for power in range(2, 25):
+        for c in bases:
+            x = c**power
+            assert (_root_ceiling(x - 1, power), _root_ceiling(x, power),
+                    _root_ceiling(x + 1, power)) == (c, c, c + 1)
+

@@ -231,6 +231,17 @@ C2_ALL_CLASSES = ["((3), (0))", "((3), (1))", "((2,1), (0))", "((2,1), (1))",
                   "((1,1,1), (1))"]
 
 
+def _drops_an_equality(g, h):
+    """``index_compare`` with its equality flag lost on ((3), (2)) of S3 x C3."""
+    comparison = _INDEX_COMPARE(g, h)
+    if (str(g), str(h)) == ("(3)", "(2)"):
+        return comparison._replace(equality=False)
+    return comparison
+
+
+_INDEX_COMPARE = indexcalc.index_compare
+
+
 @pytest.mark.parametrize("label,patches,expected", [
     ("C2", {"theta": lambda *cls: Fraction(1)},
      [f"theta positive on {c}" for c in C2_ALL_CLASSES]),
@@ -245,10 +256,18 @@ C2_ALL_CLASSES = ["((3), (0))", "((3), (1))", "((2,1), (0))", "((2,1), (1))",
     # S3 x C3 has two equality classes, which an empty catalogue misses
     ("C3", {"equality_cases": lambda d, group: []},
      ["equality catalogue disagrees with direct scan"]),
-], ids=["theta", "lower-bound", "mismatch", "deficit", "catalogue"])
+    # a wrong index_compare everywhere, as a source mutant would be: the
+    # catalogue, read from the lemma's torsion form, still lists the class
+    ("C3", {"index_compare": _drops_an_equality},
+     ["equality/divisibility mismatch on ((3), (2))", "sub-unit deficit on ((3), (2))",
+      "equality catalogue disagrees with direct scan"]),
+], ids=["theta", "lower-bound", "mismatch", "deficit", "catalogue", "index-compare-mutant"])
 def test_verify_lemmas_failure_lines(capsys, monkeypatch, label, patches, expected):
+    # each stub replaces the name in every module that defines it
     for name, stub in patches.items():
-        monkeypatch.setattr(cli, name, stub)
+        for module in (cli, indexcalc):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
     code, out, err = run(capsys, "verify-lemmas", "--d", "3", "--A", label)
     assert code == 1
     assert err.splitlines() == [f"FAIL: {line}" for line in expected]

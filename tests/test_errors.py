@@ -2,7 +2,8 @@
 ``errors.parse_fraction`` built on it, the float reader ``errors.parse_float``,
 and the guard that keeps them the only ones: no other function in
 ``src/sdxa`` calls ``int()``, hands text to ``Fraction`` or hands ``float`` on,
-as an argparse ``type=float`` does."""
+as an argparse ``type=float`` does.  A second guard keeps float rounding out
+of the integers the package computes."""
 
 from __future__ import annotations
 
@@ -267,3 +268,59 @@ def test_the_guard_sees_each_way_of_handing_fraction_text():
     assert bare_int_calls(source, "cli.py", "Fraction") == hits
     assert bare_int_calls(source, "census.py", "Fraction") == [
         hit.replace("cli", "census") for hit in hits if hit != "cli.py:5"]
+
+
+# Where a power may take a quotient as its exponent: the census fit constant's
+# float scale ``x ** (1 / |A|)``, which only ever feeds a ratio.
+FLOAT_ROOT_CALLERS = {("census.py", "_count")}
+
+
+def float_rounding_sites(source: str, filename: str) -> list[str]:
+    """``file:line`` of each call of ``ceil``, ``floor`` or ``round`` (as a
+    name or an attribute, so ``math.ceil`` too), and of each ``**`` whose
+    exponent is a division outside :data:`FLOAT_ROOT_CALLERS`.  A docstring
+    is a string, so the code of a doctest is not seen."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in ("ceil", "floor", "round"):
+                found.append(f"{filename}:{node.lineno}")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+                and (filename, function) not in FLOAT_ROOT_CALLERS):
+            found.append(f"{filename}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_integer_comes_from_float_rounding():
+    modules = sorted(SRC.glob("*.py"))
+    assert {path.name for path in modules} >= {"census.py", "indexcalc.py"}
+    found = [hit for path in modules for hit in float_rounding_sites(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_the_guard_sees_each_float_rounding():
+    source = (
+        "def tail(y, m):\n"
+        "    \"\"\">>> round(tail(16.0, 2), 12)\"\"\"\n"
+        "    return max(0, math.ceil(math.log2(y) - m))\n"
+        "def root(x, power):\n"
+        "    return ceil(x ** (1 / power)), x ** 0.5, x ** (power - 1)\n"
+        "def _count(x, order):\n"
+        "    return x ** (1 / order), math.floor(x), round(x / order)\n"
+        "SCALE = 10 ** (3 / 2)\n"
+    )
+    assert float_rounding_sites(source, "census.py") == [
+        "census.py:3", "census.py:5", "census.py:5", "census.py:7", "census.py:7",
+        "census.py:8"]
+    assert float_rounding_sites(source, "indexcalc.py") == [
+        "indexcalc.py:3", "indexcalc.py:5", "indexcalc.py:5", "indexcalc.py:7",
+        "indexcalc.py:7", "indexcalc.py:7", "indexcalc.py:8"]

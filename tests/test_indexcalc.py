@@ -55,11 +55,19 @@ def geometric_tail_oracle(x: Fraction, m: int, r_start: int) -> Fraction:
     return total - head
 
 
+def _exact_r_start(y: float, m: int) -> int:
+    """max(0, k - m) for the least integer k with 2**k >= y, read off
+    Fraction(y) = a/b: 2**k >= a/b exactly when 2**k >= ceil(a/b), and the
+    least such k is the bit length of ceil(a/b) - 1 = (a - 1) // b."""
+    exact = Fraction(y)
+    return max(0, ((exact.numerator - 1) // exact.denominator).bit_length() - m)
+
+
 def _loop_tail(exponent: Fraction, m: int, y: float, floor: float = 1e-15) -> float:
     """The dyadic tail summed term by term from r0 until a term falls below
     ``floor`` times the running sum: the float route that ``tail_series``
     replaced with its finite form, kept as a differential oracle."""
-    r_start = max(0, math.ceil(math.log2(y) - m))
+    r_start = _exact_r_start(y, m)
     x = 2.0 ** float(exponent)
     term = math.comb(r_start + m - 1, m - 1) * x**r_start
     total = 0.0
@@ -204,18 +212,31 @@ class TestIndexCompare:
                             assert result.rhs - result.lhs >= 1
 
 
+def _scanned_equality_cases(d: int, group: AbelianGroup) -> list:
+    """The equality classes by direct index comparison over every class, in
+    enumeration order: the route ``verify-lemmas`` checks the catalogue by."""
+    return [
+        (g, h)
+        for g, h in conjugacy_classes_product(d, group)
+        if not h.is_identity and index_compare(g, h).equality
+    ]
+
+
 class TestEqualityCases:
     def test_cubic_with_even_group_is_empty(self):
         assert equality_cases(3, AbelianGroup.from_label("C2")) == []
+        assert _scanned_equality_cases(3, AbelianGroup.from_label("C2")) == []
 
     def test_quartic_with_involution(self):
         g2 = AbelianGroup.from_label("C2")
         cases = equality_cases(4, g2)
+        assert cases == _scanned_equality_cases(4, g2)
         assert {g.parts for g, _ in cases} == {(2, 2), (4,)}
         assert all(h.residues == (1,) for _, h in cases)
 
     def test_quintic_with_c6_is_empty(self):
         assert equality_cases(5, AbelianGroup.from_label("C6")) == []
+        assert _scanned_equality_cases(5, AbelianGroup.from_label("C6")) == []
 
     def test_expected_catalogue(self):
         # d=3: the 3-cycle iff 3 | |A|; d=4: (2,2) and the 4-cycle iff
@@ -229,6 +250,7 @@ class TestEqualityCases:
         for group in groups:
             for d, by_type in catalogue.items():
                 cases = equality_cases(d, group)
+                assert cases == _scanned_equality_cases(d, group)
                 expected = set()
                 for parts, modulus in by_type.items():
                     if group.order % modulus == 0:
@@ -239,6 +261,22 @@ class TestEqualityCases:
                             if gcd_parts % element_order(h) == 0:
                                 expected.add((parts, h.residues))
                 assert {(g.parts, h.residues) for g, h in cases} == expected
+
+
+    def test_torsion_form_matches_the_scan_in_order(self):
+        # the k-torsion, walked residue by residue, in the scan's order, over
+        # the trivial group, primes past every cycle length and ranks 2 to 4
+        groups = [AbelianGroup(()), *abelian_groups_up_to(12)]
+        groups += [AbelianGroup.from_label(label)
+                   for label in ("C2xC2xC2xC2", "C3xC3xC3", "C2xC4xC8")]
+        for group in groups:
+            for d in range(1, 7):
+                assert equality_cases(d, group) == _scanned_equality_cases(d, group)
+
+    def test_degree_below_one_is_refused(self):
+        for d in (0, -1):
+            with pytest.raises(DomainError, match=r"^d must be >= 1$"):
+                equality_cases(d, AbelianGroup.from_label("C2"))
 
 
 class TestTheta:
@@ -410,6 +448,20 @@ class TestTailSeries:
         assert est.terms == m
         assert est.value == pytest.approx(_loop_tail(exponent, m, y), rel=1e-9)
 
+    def test_r_start_is_exact_next_to_every_power_of_two(self):
+        # y = 2^j * (1 + i * 2^-52): the floats at and beside 2^j, where
+        # ceil(log2(y) - m) rounds log2(y) onto the integer j; j = 4 and 60
+        # with i = 1 are 16.000000000000004 and 2^60 + 256, whose r_start at
+        # m = 2 the float formula gave as 2 and 58, not 3 and 59
+        for j in range(1, 1001):
+            for i in range(-2, 3):
+                y = math.ldexp(1 + i * 2.0**-52, j)
+                k = j + (i > 0)
+                assert 2 ** (k - 1) < Fraction(y) <= 2**k
+                assert _exact_r_start(y, 0) == k
+                for m in range(1, 9):
+                    est = tail_series(Fraction(-1, 2), Fraction(0), m, y)
+                    assert est.r_start == max(0, k - m)
     def test_exponent_near_zero_is_finite_and_fast(self):
         # At exponent -1e-6 the term-by-term loop ran into its 10^7-term
         # cap; the finite form has m = 2 terms.
