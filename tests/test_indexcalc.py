@@ -262,7 +262,6 @@ class TestEqualityCases:
                                 expected.add((parts, h.residues))
                 assert {(g.parts, h.residues) for g, h in cases} == expected
 
-
     def test_torsion_form_matches_the_scan_in_order(self):
         # the k-torsion, walked residue by residue, in the scan's order, over
         # the trivial group, primes past every cycle length and ranks 2 to 4
@@ -462,6 +461,7 @@ class TestTailSeries:
                 for m in range(1, 9):
                     est = tail_series(Fraction(-1, 2), Fraction(0), m, y)
                     assert est.r_start == max(0, k - m)
+
     def test_exponent_near_zero_is_finite_and_fast(self):
         # At exponent -1e-6 the term-by-term loop ran into its 10^7-term
         # cap; the finite form has m = 2 terms.
