@@ -21,6 +21,7 @@ import json
 import math
 import re
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Iterator
@@ -107,13 +108,13 @@ class LocalDatum(Frozen, namedtuple("LocalDatum", "prime tame_class wild_valuati
         return f"{self.prime}:w({self.wild_valuation})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _datum_problem(
     datum: LocalDatum, degree: int, modulus: int, exponent: int | None
 ) -> str | None:
     """What is wrong with ``datum`` in a record of this degree and closure
     modulus, or None; ``exponent`` is the abelian group's exponent, None for a
-    symmetric record.  Cached for the length of one :func:`load_dataset`."""
+    symmetric record."""
     tame, prime = datum.tame_class, datum.prime
     if tame is None:
         if modulus % prime != 0:
@@ -166,7 +167,8 @@ class FieldRecord(Frozen, namedtuple("FieldRecord", "label degree group disc loc
     @cached_property
     def abelian_group(self) -> AbelianGroup:
         """The parsed abelian group, computed on first access and kept on the
-        record; records of one load with one label share one group."""
+        record; records that name one label share the group
+        :func:`_group_of_label` keeps for it."""
         if self.is_symmetric:
             raise DomainError(f"record {self.label!r} is not abelian")
         return _group_of_label(self.group)
@@ -273,7 +275,7 @@ class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
 
 
 def _coverage_entry(header: str, line_number: int | None = None) -> tuple[str, int] | None:
-    """The (group, maxdisc) a ``#coverage`` header asserts, None for another header;
+    """The (group label, maxdisc) a ``#coverage`` header asserts, None for another header;
     :class:`RecordParseError` at ``line_number`` if it is malformed or its bound
     is not ASCII digits."""
     if header.split()[0] != "#coverage":
@@ -282,12 +284,15 @@ def _coverage_entry(header: str, line_number: int | None = None) -> tuple[str, i
     match = _COVERAGE_RE.match(header)
     if not match:
         raise error(f"malformed coverage header: {header!r:.200}")
-    return match.group(1), parse_int(match.group(2), error, field="maxdisc")
+    label = match.group(1)
+    with suppress(DomainError):  # as the census spells its group (C2xC3 is C6), if any
+        label = label if label in _SYMMETRIC_GROUPS else _group_of_label(label).label()
+    return label, parse_int(match.group(2), error, field="maxdisc")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _group_of_label(label: str) -> AbelianGroup:
-    """The group a label spells; cached for the length of one :func:`load_dataset`."""
+    """The group a label spells, shared by the records of every load that name it."""
     return AbelianGroup.from_label(label)
 
 
@@ -297,12 +302,12 @@ def _cycle_parts(text: str, message: str | None = None,
     return tuple(parse_int(part, ValueError, message, field) for part in text.split("."))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _parse_inertia(text: str) -> tuple[CycleType | None, int | None] | None:
     """The (tame class, wild valuation) a ``t(...)``/``w(...)`` text spells, None
     for other text; a bad class or valuation raises :class:`DomainError` or a
-    ``ValueError`` that names the fault, not the text.  Cached for the length of
-    one :func:`load_dataset`, so the chunks of a file that repeat a text share its class."""
+    ``ValueError`` that names the fault, not the text; chunks that repeat a text
+    share its class."""
     tame = _TAME_RE.match(text)
     if tame:
         return CycleType(_cycle_parts(tame.group(1), message="bad cycle lengths")), None
@@ -310,12 +315,11 @@ def _parse_inertia(text: str) -> tuple[CycleType | None, int | None] | None:
     return (None, parse_int(wild.group(1), message="bad wild valuation")) if wild else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _parse_datum(chunk: str) -> LocalDatum:
     """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, else
     :class:`RecordParseError` with no line number: the prime is read first, then
-    the text by :func:`_parse_inertia`.  Cached for the length of one
-    :func:`load_dataset`, so records of a file that repeat a chunk share a datum."""
+    the text by :func:`_parse_inertia`; records that repeat a chunk share a datum."""
     prime_text, _, type_text = chunk.partition(":")
     prime = parse_int(prime_text, RecordParseError, f"bad prime in local datum {chunk!r}")
     try:
@@ -331,8 +335,8 @@ def _parse_datum(chunk: str) -> LocalDatum:
 
 def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
     """Parse one record line; raises :class:`RecordParseError` with the line
-    number on malformed input.  Chunks repeated in one file are parsed and
-    checked once per record shape."""
+    number on malformed input.  A repeated chunk is parsed once, and checked
+    once per record shape."""
     fields = line.split(";")
     if len(fields) != 6:
         raise RecordParseError(
@@ -368,13 +372,11 @@ def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content), emptying the caches of chunks,
-    inertia texts, datum checks and group labels first, so that no load reuses
-    or keeps alive the data, classes or groups of an earlier file."""
-    _parse_datum.cache_clear()
-    _parse_inertia.cache_clear()
-    _datum_problem.cache_clear()
-    _group_of_label.cache_clear()
+    """Parse a whole record file (text content).  The caches of chunks, inertia
+    texts, datum checks and group labels are shared by every load of the
+    process: each value is a function of its key alone and holds no label or
+    line number (:func:`parse_record` adds the line number, and
+    :meth:`FieldRecord.validate` the label), so it means the same in any file."""
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()

@@ -17,6 +17,7 @@ import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DegreeMismatchError, DomainError, Frozen, cached_property, parse_int
@@ -98,9 +99,7 @@ class AbelianGroup(Frozen, namedtuple("AbelianGroup", "invariant_factors")):
     """
 
     def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
-        self = super().__new__(cls, _normalize_invariant_factors(invariant_factors))
-        vars(self)["_elements_by_order"] = {}  # element_of_order's memo
-        return self
+        return super().__new__(cls, _normalize_invariant_factors(invariant_factors))
 
     @staticmethod
     def from_label(label: str) -> "AbelianGroup":
@@ -138,18 +137,15 @@ class AbelianGroup(Frozen, namedtuple("AbelianGroup", "invariant_factors")):
     def element(self, residues: tuple[int, ...]) -> "AbelianElement":
         return AbelianElement(self, residues)
 
+    @lru_cache(maxsize=1024)  # bounded, as delta is: cli.main may run any number of times
     def element_of_order(self, order: int) -> "AbelianElement":
         """The element of order ``order`` with residue exp(A)/order in the last
         invariant factor and d_i, which reduces to 0, in each earlier factor
-        d_i; built once per group instance, which a census load's records share."""
-        memo = self._elements_by_order
-        if order not in memo:
-            if order < 1 or self.exponent % order:
-                raise DomainError(f"group {self.label()} has no element of order {order}")
-            factors = self.invariant_factors
-            residues = factors[:-1] + (self.exponent // order,) if factors else ()
-            memo[order] = self.element(residues)
-        return memo[order]
+        d_i; built once per (group, order) and kept in a process-wide cache."""
+        if order < 1 or self.exponent % order:
+            raise DomainError(f"group {self.label()} has no element of order {order}")
+        factors = self.invariant_factors
+        return self.element(factors[:-1] + (self.exponent // order,) if factors else ())
 
     def elements(self) -> list["AbelianElement"]:
         """All elements, in lexicographic residue order (identity first)."""

@@ -71,6 +71,13 @@ def record(text: str) -> FieldRecord:
     return parse_record(text)
 
 
+def _empty_census_caches() -> None:
+    """Empty the census caches, which every load of the process shares."""
+    for cache in (census._parse_datum, census._parse_inertia, census._datum_problem,
+                  census._group_of_label):
+        cache.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # factorization / fundamental discriminants
 # ---------------------------------------------------------------------------
@@ -327,12 +334,44 @@ def test_datum_checks_depend_on_the_record_shape(good, bad, message):
         assert str(err.value) == message
 
 
-def test_repeated_chunks_share_one_datum_within_one_file_only():
+def test_repeated_chunks_share_one_datum_across_files():
     text = "x;3;S3;-23;23:t(2.1);\ny;3;S3;-23;23:t(2.1);\n"
     first, second = load_dataset(text), load_dataset(text)
     assert first.records[0].local[0] is first.records[1].local[0]
-    assert first.records[0].local[0] is not second.records[0].local[0]
+    assert first.records[0].local[0] is second.records[0].local[0]
     assert first.records[0].local[0] == second.records[0].local[0]
+
+
+def test_the_census_caches_keep_at_most_their_bound_across_loads():
+    # 1,100 one-record files, each with its own chunk and datum check, and
+    # 1,100 distinct inertia texts and group labels: each cache keeps 1,024
+    primes = [p for p in range(5, 9000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    _empty_census_caches()
+    for p in primes[:1100]:
+        assert load_dataset(f"x;3;S3;-{p};{p}:t(2.1);\n").records[0].disc == -p
+    for n in range(2, 1102):
+        assert census._parse_inertia(f"t({n}.1)")[0].parts == (n, 1)
+        assert census._group_of_label(f"C{n}").order == n
+    for name in ("_parse_datum", "_datum_problem", "_parse_inertia", "_group_of_label"):
+        info = getattr(census, name).cache_info()
+        assert info.misses == 1100 and info.maxsize == 1024
+        assert info.currsize <= info.maxsize < info.misses
+
+
+def test_a_shared_cache_names_the_line_and_record_of_each_file():
+    # the caches carry no line number and no label from the file that filled them
+    bad_chunk = "7:t(0.1)"
+    with pytest.raises(RecordParseError) as first:
+        load_dataset(f"g;3;S3;-23;23:t(2.1);\nb;3;S3;-7;{bad_chunk};\n")
+    with pytest.raises(RecordParseError) as second:
+        load_dataset(f"# a\n# b\n\ng;3;S3;-23;23:t(2.1);\nb;3;S3;-7;{bad_chunk};\n")
+    message = f"bad local datum '{bad_chunk}': parts must be positive: (0, 1)"
+    assert (str(first.value), str(second.value)) == (f"line 2: {message}", f"line 5: {message}")
+    problem = "inertia class at 7 has degree 4, record degree 3"
+    for label in ("a", "b"):
+        with pytest.raises(RecordValidationError) as err:
+            load_dataset(f"{label};3;S3;-49;7:t(2.2);\n")
+        assert str(err.value) == f"record {label!r}: {problem}"
 
 
 def _tame_classes(dataset: Dataset) -> list[CycleType]:
@@ -340,7 +379,8 @@ def _tame_classes(dataset: Dataset) -> list[CycleType]:
             if datum.tame_class is not None]
 
 
-def test_one_load_builds_each_inertia_class_once_and_shares_none_with_another(monkeypatch):
+def test_inertia_classes_are_built_once_and_shared_by_later_loads(monkeypatch):
+    _empty_census_caches()
     built: list[tuple[int, ...]] = []
     original = CycleType.__new__
 
@@ -353,9 +393,8 @@ def test_one_load_builds_each_inertia_class_once_and_shares_none_with_another(mo
     assert sorted(built) == [(2,), (2, 1), (3,)]
     assert len({id(ct) for ct in _tame_classes(first)}) == 3
     second = ingest(str(FIXTURE))
-    assert len(built) == 6
-    assert {id(ct) for ct in _tame_classes(first)}.isdisjoint(
-        id(ct) for ct in _tame_classes(second))
+    assert len(built) == 3
+    assert list(map(id, _tame_classes(first))) == list(map(id, _tame_classes(second)))
     assert _tame_classes(first) == _tame_classes(second)
 
 
@@ -761,6 +800,19 @@ def test_count_N_coverage_warning_names_the_disc_the_cutoff_needs():
     for x, root in ((2001**5, 2001), (2001**5 + 1, 2002)):
         assert count_N(data, 3, AbelianGroup((5,)), x).warnings[0] == (
             f"X = {x} needs S3 records up to |disc| = {root}, coverage asserts only 2000")
+
+
+def test_a_coverage_header_covers_its_group_under_any_label():
+    # C2xC3 names C6, as --A C2xC3 does; a label that names no group covers nothing
+    data = load_dataset("#coverage group=S3 maxdisc=2000\n#coverage group=C2xC3 maxdisc=100\n"
+                        "#coverage group=Q8 maxdisc=5\n")
+    assert data.coverage == {"S3": 2000, "C6": 100, "Q8": 5}
+    for label in ("C2xC3", "C6", "C3xC2"):
+        group = AbelianGroup.from_label(label)
+        assert count_N(data, 3, group, 10**6).warnings == ()
+        assert count_N(data, 3, group, 10**7).warnings == (
+            "X = 10000000 needs C6 records up to |disc| = 216, coverage asserts only 100",)
+    assert count_N(data, 3, C2, 10).warnings == ("no coverage assertion for group C2",)
 
 
 def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
@@ -1311,9 +1363,10 @@ def test_census_calls_each_layer_once_per_pair(monkeypatch, y, overrides):
     # the binding sites the benchmark tracer wraps; one parse_record per
     # fixture record, one compose_disc per disjoint pair, one
     # linearly_disjoint per candidate pair, one delta per shared tame-tame
-    # prime of a disjoint pair, and one from_label per group label of a load
+    # prime of a disjoint pair, and one from_label per group label of a cold load
     import sdxa.census as census
 
+    _empty_census_caches()
     names = ("parse_record", "compose_disc", "linearly_disjoint", "delta")
     calls = dict.fromkeys(names, 0)
     for name in calls:
@@ -1395,9 +1448,12 @@ def test_a_count_reports_the_first_faulty_pair_it_reaches():
         list(iter_census_pairs(forward, 3, C2))
 
 
-def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
+def test_a_count_builds_one_element_per_order_per_process(monkeypatch):
     # compose_disc asks for the element of order 2 at each of the 1,441 shared
-    # tame-tame primes; the records of a load share one group, which keeps it
+    # tame-tame primes; the loads share one group, and any equal group shares
+    # its element of each order
+    _empty_census_caches()
+    AbelianGroup.element_of_order.cache_clear()
     built: list[AbelianGroup] = []
     original = AbelianGroup.element
 
@@ -1413,11 +1469,10 @@ def test_a_count_builds_one_element_per_order_per_load(monkeypatch):
         results.append(count_N_truncated(dataset, 3, C2, 10**6, 100))
     group_1 = first.by_group("C2")[0].abelian_group
     group_2 = second.by_group("C2")[0].abelian_group
-    assert built == [group_1, group_2] and group_1 is not group_2
-    assert built[0] is group_1 and built[1] is group_2
-    assert group_1._elements_by_order is not group_2._elements_by_order
-    assert group_1._elements_by_order[2] is not group_2._elements_by_order[2]
-    assert group_1._elements_by_order[2] == group_2._elements_by_order[2]
+    assert built == [group_1] and built[0] is group_1 is group_2
+    assert C2.element_of_order(2) is group_1.element_of_order(2)
+    info = AbelianGroup.element_of_order.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
     assert results[:2] == results[2:4] == results[4:]
 
 
@@ -1479,23 +1534,25 @@ MIXED_LABELS = (
 
 
 def test_each_group_label_is_parsed_once_per_load(monkeypatch):
+    # from cold caches; a later load parses no label that an earlier one did
+    _empty_census_caches()
     calls: dict[str, int] = {}
     _count_from_label(monkeypatch, calls)
     ingest(str(FIXTURE))
     assert calls["from_label"] == 1
     first = load_dataset(MIXED_LABELS)
-    assert calls["from_label"] == 3
+    assert calls["from_label"] == 2
     c2_a, c3, c2_b = (r.abelian_group for r in first.records)
     assert c2_a is c2_b and (c2_a.order, c3.order) == (2, 3)
     second = load_dataset(MIXED_LABELS)
-    assert calls["from_label"] == 5
-    assert {id(r.abelian_group) for r in first.records}.isdisjoint(
+    assert calls["from_label"] == 2
+    assert [id(r.abelian_group) for r in first.records] == [
         id(r.abelian_group) for r in second.records
-    )
+    ]
     with pytest.raises(RecordParseError, match="unknown group label 'Q8'") as info:
         load_dataset(MIXED_LABELS + "2.5.2;2;Q8;5;5:t(2);5\n")
     assert info.value.line_number == 4
-    assert calls["from_label"] == 8
+    assert calls["from_label"] == 3
 
 
 def test_record_caches_are_built_on_first_access():

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdxa import indexcalc
@@ -144,12 +144,10 @@ class TestDelta:
                     )
                     # a repeat call hands back the memoised object itself
                     assert group.element_of_order(order) is h
-                    assert group._elements_by_order[order] is h
                 else:
                     for _ in range(2):
                         with pytest.raises(DomainError, match=f"no element of order {order}$"):
                             group.element_of_order(order)
-                    assert order not in group._elements_by_order
 
     def test_delta_bounds_and_attainment(self):
         # 0 <= delta <= d * ind(h_reg); the upper bound is attained exactly on
@@ -442,6 +440,10 @@ class TestTailSeries:
         st.integers(min_value=1, max_value=6),
         st.floats(min_value=2.0**4, max_value=2.0**64),
     )
+    # the floats just above 2^4 and 2^60, which hypothesis does not draw: there
+    # ceil(log2(y) - m) rounds log2(y) down onto the power and starts a term early
+    @example(Fraction(-1, 4), 2, 16.000000000000004)
+    @example(Fraction(-1, 4), 2, math.ldexp(1 + 2**-52, 60))
     def test_matches_term_by_term_loop(self, exponent, m, y):
         est = tail_series(exponent, Fraction(0), m, y)
         assert est.terms == m

@@ -357,11 +357,11 @@ def test_no_module_uses_functools_cached_property():
         assert uses == [], path.name
 
 
-def _memo_sites(tree: ast.Module) -> dict[str, bool]:
+def _memo_sites(tree: ast.Module) -> dict[str, int | None]:
     """The function each ``lru_cache``/``functools.cache`` use decorates, or
-    ``line N`` for any other use, mapped to whether its ``maxsize`` is a
-    literal int: ``functools.cache`` and ``maxsize=None`` keep every entry,
-    and a bare ``lru_cache`` keeps 128."""
+    ``line N`` for any other use, mapped to its ``maxsize`` if that is a
+    literal int, else None: ``functools.cache`` and ``maxsize=None`` keep every
+    entry, and a bare ``lru_cache`` keeps 128."""
     names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              for alias in node.names if alias.name in ("lru_cache", "cache")}
@@ -380,36 +380,35 @@ def _memo_sites(tree: ast.Module) -> dict[str, bool]:
             call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
             sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args
             size = sizes[0] if sizes else ast.Constant(128)
-            decorated[id(call.func)] = fn.name, kind(call.func) == "lru_cache" and (
-                isinstance(size, ast.Constant) and type(size.value) is int)
-    return dict(decorated.get(id(node), (f"line {node.lineno}", False))
+            literal = isinstance(size, ast.Constant) and type(size.value) is int
+            decorated[id(call.func)] = fn.name, (
+                size.value if literal and kind(call.func) == "lru_cache" else None)
+    return dict(decorated.get(id(node), (f"line {node.lineno}", None))
                 for node in ast.walk(tree) if kind(node))
 
 
 def test_only_work_that_is_reused_is_memoised():
-    # a process-wide cache stays only where a command or a session hits it,
-    # and keeps a bounded number of entries; the census caches live for one
-    # load, and load_dataset empties each
+    # one policy: a memo is a process-wide lru_cache of 1,024 entries, only
+    # where a command or a session reuses the work; no module empties one, and
+    # none but errors.cached_property's lazy facts is kept in an instance
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "sdxa").glob("*.py"))}
     sites = {name: _memo_sites(tree) for name, tree in trees.items()}
-    per_load = ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"]
-    assert {name: sorted(found) for name, found in sites.items() if found} == {
-        "census.py": per_load,
-        "indexcalc.py": ["delta"],
-        "splitting.py": ["decomposition_patterns"],
+    assert {name: found for name, found in sites.items() if found} == {
+        "census.py": dict.fromkeys(
+            ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"], 1024),
+        "groups.py": {"element_of_order": 1024},
+        "indexcalc.py": {"delta": 1024},
+        "splitting.py": {"decomposition_patterns": 1024},
     }
-    unbounded = {name: sorted(site for site, bounded in found.items() if not bounded)
-                 for name, found in sites.items()}
-    assert {name: found for name, found in unbounded.items() if found} == {
-        "census.py": per_load,
-    }
-    load = next(node for node in ast.walk(trees["census.py"])
-                if isinstance(node, ast.FunctionDef) and node.name == "load_dataset")
-    cleared = [getattr(node.func.value, "id", None) for node in ast.walk(load)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "cache_clear"]
-    assert sorted(cleared) == per_load
+    lazy = next(node for node in ast.walk(trees["errors.py"])
+                if isinstance(node, ast.ClassDef) and node.name == "cached_property")
+    allowed = {id(node) for node in ast.walk(lazy)}
+    misplaced = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("cache_clear", "__dict__")
+                 or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+                 and id(node) not in allowed]
+    assert misplaced == []
 
 
 def test_no_module_formats_text_with_percent():
