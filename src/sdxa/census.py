@@ -108,13 +108,11 @@ class LocalDatum(Frozen, namedtuple("LocalDatum", "prime tame_class wild_valuati
         return f"{self.prime}:w({self.wild_valuation})"
 
 
-@lru_cache(maxsize=1024)
-def _datum_problem(
-    datum: LocalDatum, degree: int, modulus: int, exponent: int | None
-) -> str | None:
+def _datum_problem(datum: LocalDatum, degree: int, modulus: int,
+                   exponent: int | None) -> str | None:
     """What is wrong with ``datum`` in a record of this degree and closure
     modulus, or None; ``exponent`` is the abelian group's exponent, None for a
-    symmetric record."""
+    symmetric record.  Not memoised: :func:`_record` checks each line once."""
     tame, prime = datum.tame_class, datum.prime
     if tame is None:
         if modulus % prime != 0:
@@ -247,7 +245,7 @@ class Dataset(Frozen, namedtuple("Dataset", "records headers", defaults=((),))):
     records: tuple[FieldRecord, ...]
     headers: tuple[str, ...]  # default ()
 
-    @property
+    @cached_property
     def coverage(self) -> dict[str, int]:
         return dict(entry for entry in map(_coverage_entry, self.headers) if entry)
 
@@ -292,7 +290,8 @@ def _coverage_entry(header: str, line_number: int | None = None) -> tuple[str, i
 
 @lru_cache(maxsize=1024)
 def _group_of_label(label: str) -> AbelianGroup:
-    """The group a label spells, shared by the records of every load that name it."""
+    """The group a label spells, one object per label for the process, shared by the
+    records and coverage headers that name it: ``element_of_order`` keys match by identity."""
     return AbelianGroup.from_label(label)
 
 
@@ -306,8 +305,9 @@ def _cycle_parts(text: str, message: str | None = None,
 def _parse_inertia(text: str) -> tuple[CycleType | None, int | None] | None:
     """The (tame class, wild valuation) a ``t(...)``/``w(...)`` text spells, None
     for other text; a bad class or valuation raises :class:`DomainError` or a
-    ``ValueError`` that names the fault, not the text; chunks that repeat a text
-    share its class."""
+    ``ValueError`` that names the fault, not the text.  Memoised, so a cold load
+    builds one class per text (3 on the fixture), which ``delta``'s cache finds by
+    identity."""
     tame = _TAME_RE.match(text)
     if tame:
         return CycleType(_cycle_parts(tame.group(1), message="bad cycle lengths")), None
@@ -315,11 +315,10 @@ def _parse_inertia(text: str) -> tuple[CycleType | None, int | None] | None:
     return (None, parse_int(wild.group(1), message="bad wild valuation")) if wild else None
 
 
-@lru_cache(maxsize=1024)
 def _parse_datum(chunk: str) -> LocalDatum:
     """The local datum one ``prime:t(...)``/``prime:w(...)`` chunk spells, else
-    :class:`RecordParseError` with no line number: the prime is read first, then
-    the text by :func:`_parse_inertia`; records that repeat a chunk share a datum."""
+    :class:`RecordParseError`: the prime is read first, then the text by
+    :func:`_parse_inertia`.  Not memoised: :func:`_record` keeps each line's data."""
     prime_text, _, type_text = chunk.partition(":")
     prime = parse_int(prime_text, RecordParseError, f"bad prime in local datum {chunk!r}")
     try:
@@ -333,58 +332,63 @@ def _parse_datum(chunk: str) -> LocalDatum:
     raise RecordParseError(f"local datum {chunk!r} is neither t(...) nor w(...)")
 
 
-def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
-    """Parse one record line; raises :class:`RecordParseError` with the line
-    number on malformed input.  A repeated chunk is parsed once, and checked
-    once per record shape."""
+@lru_cache(maxsize=1024)
+def _record(line: str) -> FieldRecord:
+    """The validated record a line spells, one object per line for the process;
+    :class:`RecordParseError` here carries no line number, and no error is cached."""
     fields = line.split(";")
     if len(fields) != 6:
-        raise RecordParseError(
-            f"expected 6 ';'-separated fields, got {len(fields)}", line_number
-        )
+        raise RecordParseError(f"expected 6 ';'-separated fields, got {len(fields)}")
     label, degree_text, group, disc_text, local_text, quad_text = fields
     if not label:
-        raise RecordParseError("empty label", line_number)
+        raise RecordParseError("empty label")
     message = f"degree/disc must be integers: {degree_text!r}, {disc_text!r}"
-    try:  # each RecordParseError below gets its line number in the handler
-        degree = parse_int(degree_text, RecordParseError, message, "degree")
-        disc = parse_int(disc_text, RecordParseError, message, "disc")
-        if disc == 0:
-            raise RecordParseError("discriminant must be nonzero")
-        local = tuple(map(_parse_datum, local_text.split(","))) if local_text else ()
-        quads: tuple[int, ...] = ()
-        if quad_text:
-            message = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
-            quads = tuple(parse_int(q, RecordParseError, message)
-                          for q in quad_text.split(","))
-    except RecordParseError as exc:
-        raise RecordParseError(str(exc), line_number) from None
+    degree = parse_int(degree_text, RecordParseError, message, "degree")
+    disc = parse_int(disc_text, RecordParseError, message, "disc")
+    if disc == 0:
+        raise RecordParseError("discriminant must be nonzero")
+    local = tuple(map(_parse_datum, local_text.split(","))) if local_text else ()
+    quads: tuple[int, ...] = ()
+    if quad_text:
+        message = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
+        quads = tuple(parse_int(q, RecordParseError, message) for q in quad_text.split(","))
     record = FieldRecord(label, degree, group, disc, local, quads)
     if not record.is_symmetric:
         try:
             record.abelian_group
         except DomainError:
-            raise RecordParseError(
-                f"unknown group label {group!r}", line_number
-            ) from None
+            raise RecordParseError(f"unknown group label {group!r}") from None
     record.validate()
     return record
 
 
+def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
+    """Parse one record line; raises :class:`RecordParseError` with the line number
+    on malformed input.  A line the process has read before is not read again."""
+    try:
+        return _record(line)
+    except RecordParseError as exc:
+        raise RecordParseError(str(exc), line_number) from None
+
+
 def load_dataset(text: str) -> Dataset:
-    """Parse a whole record file (text content).  The caches of chunks, inertia
-    texts, datum checks and group labels are shared by every load of the
-    process: each value is a function of its key alone and holds no label or
-    line number (:func:`parse_record` adds the line number, and
-    :meth:`FieldRecord.validate` the label), so it means the same in any file."""
+    """Parse a whole record file (text content), one :func:`parse_record` per
+    record line.  The memos of lines, inertia texts and group labels are shared by
+    every load of the process: a record is immutable, each value is a function of
+    its key alone and none holds a line number (:func:`parse_record` adds it), so
+    it means the same in any file; an error is never cached."""
     headers: list[str] = []
     records: list[FieldRecord] = []
     labels: set[str] = set()
+    first_lines: dict[str, int] = {}  # the coverage header line of each group
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
-            _coverage_entry(line, line_number)
+            entry = _coverage_entry(line, line_number)
+            if entry and first_lines.setdefault(entry[0], line_number) != line_number:
+                raise RecordParseError(
+                    f"duplicate coverage header for group {entry[0]}", line_number)
             headers.append(line)
             continue
         record = parse_record(line, line_number)

@@ -73,8 +73,7 @@ def record(text: str) -> FieldRecord:
 
 def _empty_census_caches() -> None:
     """Empty the census caches, which every load of the process shares."""
-    for cache in (census._parse_datum, census._parse_inertia, census._datum_problem,
-                  census._group_of_label):
+    for cache in (census._group_of_label, census._parse_inertia, census._record):
         cache.cache_clear()
 
 
@@ -334,17 +333,22 @@ def test_datum_checks_depend_on_the_record_shape(good, bad, message):
         assert str(err.value) == message
 
 
-def test_repeated_chunks_share_one_datum_across_files():
+def test_a_repeated_line_is_one_record_and_a_repeated_inertia_text_one_class():
+    # across files a line is one record; across lines, its chunk is parsed
+    # afresh but the chunk's inertia text is one class
     text = "x;3;S3;-23;23:t(2.1);\ny;3;S3;-23;23:t(2.1);\n"
     first, second = load_dataset(text), load_dataset(text)
-    assert first.records[0].local[0] is first.records[1].local[0]
-    assert first.records[0].local[0] is second.records[0].local[0]
-    assert first.records[0].local[0] == second.records[0].local[0]
+    assert first.records == second.records
+    assert all(a is b for a, b in zip(first.records, second.records))
+    x, y = first.records
+    assert x.local[0] == y.local[0] and x.local[0] is not y.local[0]
+    assert x.local[0].tame_class is y.local[0].tame_class
+    assert x.local[0].tame_class is second.records[1].local[0].tame_class
 
 
 def test_the_census_caches_keep_at_most_their_bound_across_loads():
-    # 1,100 one-record files, each with its own chunk and datum check, and
-    # 1,100 distinct inertia texts and group labels: each cache keeps 1,024
+    # 1,100 one-record files, each its own line, and 1,100 distinct inertia
+    # texts and group labels: each cache keeps 1,024
     primes = [p for p in range(5, 9000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     _empty_census_caches()
     for p in primes[:1100]:
@@ -352,10 +356,14 @@ def test_the_census_caches_keep_at_most_their_bound_across_loads():
     for n in range(2, 1102):
         assert census._parse_inertia(f"t({n}.1)")[0].parts == (n, 1)
         assert census._group_of_label(f"C{n}").order == n
-    for name in ("_parse_datum", "_datum_problem", "_parse_inertia", "_group_of_label"):
+    for name in ("_record", "_parse_inertia", "_group_of_label"):
         info = getattr(census, name).cache_info()
         assert info.misses == 1100 and info.maxsize == 1024
         assert info.currsize <= info.maxsize < info.misses
+    # the first file's line has left the memo: reading it again parses it again
+    first = f"x;3;S3;-{primes[0]};{primes[0]}:t(2.1);\n"
+    load_dataset(first)
+    assert census._record.cache_info().misses == 1101
 
 
 def test_a_shared_cache_names_the_line_and_record_of_each_file():
@@ -372,6 +380,18 @@ def test_a_shared_cache_names_the_line_and_record_of_each_file():
         with pytest.raises(RecordValidationError) as err:
             load_dataset(f"{label};3;S3;-49;7:t(2.2);\n")
         assert str(err.value) == f"record {label!r}: {problem}"
+    # faults of the line itself, which the line memo raises with no number
+    # and parse_record numbers: one bad line, at line 2 of one file and 5 of another
+    for line, message in (("b;3;S3;-23", "expected 6 ';'-separated fields, got 4"),
+                          (";3;S3;-23;23:t(2.1);", "empty label"),
+                          ("b;x;S3;-23;23:t(2.1);", "degree/disc must be integers: 'x', '-23'"),
+                          ("b;2;Q8;5;5:t(2);5", "unknown group label 'Q8'")):
+        for text, line_number in ((f"g;3;S3;-23;23:t(2.1);\n{line}\n", 2),
+                                  (f"# a\n\ng;3;S3;-23;23:t(2.1);\n\n{line}\n", 5)):
+            with pytest.raises(RecordParseError) as err:
+                load_dataset(text)
+            assert str(err.value) == f"line {line_number}: {message}"
+            assert err.value.line_number == line_number
 
 
 def _tame_classes(dataset: Dataset) -> list[CycleType]:
@@ -398,6 +418,31 @@ def test_inertia_classes_are_built_once_and_shared_by_later_loads(monkeypatch):
     assert _tame_classes(first) == _tame_classes(second)
 
 
+def test_a_warm_fixture_load_reads_only_the_line_and_label_memos():
+    # each record line hits the line memo, and the "#coverage group=C2" header
+    # the label memo; no chunk, inertia text or other module's memo is read
+    from sdxa import groups, indexcalc, splitting
+
+    memos = {
+        "_record": census._record,
+        "_group_of_label": census._group_of_label,
+        "_parse_inertia": census._parse_inertia,
+        "element_of_order": groups.AbelianGroup.element_of_order,
+        "delta": indexcalc.delta,
+        "decomposition_patterns": splitting.decomposition_patterns,
+    }
+    cold = ingest(str(FIXTURE))
+    before = {name: memo.cache_info() for name, memo in memos.items()}
+    warm = ingest(str(FIXTURE))
+    after = {name: memo.cache_info() for name, memo in memos.items()}
+    assert {name: (after[name].hits - before[name].hits, after[name].misses - before[name].misses)
+            for name in memos} == {
+        "_record": (385, 0), "_group_of_label": (1, 0), "_parse_inertia": (0, 0),
+        "element_of_order": (0, 0), "delta": (0, 0), "decomposition_patterns": (0, 0),
+    }
+    assert all(a is b for a, b in zip(cold.records, warm.records))
+
+
 @pytest.mark.parametrize("text,message", [
     ("t(0.1)", "bad local datum '{}': parts must be positive: (0, 1)"),
     ("t(2..1)", "bad cycle lengths in '{}'"),
@@ -405,8 +450,7 @@ def test_inertia_classes_are_built_once_and_shared_by_later_loads(monkeypatch):
     ("x(2.1)", "local datum '{}' is neither t(...) nor w(...)"),
 ], ids=["zero-part", "empty-part", "zero-valuation", "neither"])
 def test_a_bad_inertia_text_names_each_chunk_and_line_it_is_in(text, message):
-    # parse_record shares the caches of one load, as the records of a file do
-    load_dataset("")
+    # a bad chunk at two line numbers: no memo holds its error or a line number
     for prime, line_number in ((5, 2), (7, 9)):
         chunk = f"{prime}:{text}"
         with pytest.raises(RecordParseError) as err:
@@ -813,6 +857,40 @@ def test_a_coverage_header_covers_its_group_under_any_label():
         assert count_N(data, 3, group, 10**7).warnings == (
             "X = 10000000 needs C6 records up to |disc| = 216, coverage asserts only 100",)
     assert count_N(data, 3, C2, 10).warnings == ("no coverage assertion for group C2",)
+
+
+@pytest.mark.parametrize("first,second,group", [
+    ("S3", "S3", "S3"),
+    ("C6", "C2xC3", "C6"),
+    ("C2xC3", "C3xC2", "C6"),
+    ("Q8", "Q8", "Q8"),
+])
+def test_a_second_coverage_header_for_one_group_is_refused(first, second, group):
+    # labels compare as the census spells the group, whatever the two bounds
+    for bound in (100, 500, 5000):
+        with pytest.raises(RecordParseError) as info:
+            load_dataset(f"#coverage group={first} maxdisc=500\n# a note\n\n"
+                         f"#coverage group={second} maxdisc={bound}\n")
+        assert str(info.value) == f"line 4: duplicate coverage header for group {group}"
+        assert info.value.line_number == 4
+
+
+def test_coverage_headers_for_distinct_groups_are_all_kept():
+    data = load_dataset("#coverage group=C4 maxdisc=50\n#coverage group=C2xC2 maxdisc=60\n"
+                        "#coverage group=S4 maxdisc=70\n#coverage group=S3 maxdisc=80\n")
+    assert data.coverage == {"C4": 50, "C2xC2": 60, "S4": 70, "S3": 80}
+
+
+def test_coverage_is_parsed_on_the_first_read_only():
+    data = load_dataset("# a note\n#coverage group=S3 maxdisc=2000\n")
+    assert "coverage" not in vars(data)
+    assert data.coverage is data.coverage == {"S3": 2000}
+    # a malformed header is never cached: it raises on every read
+    bad = Dataset((), ("#coverage group=S3 maxdisc=abc",))
+    for _ in range(2):
+        with pytest.raises(RecordParseError, match="^malformed coverage header: "):
+            bad.coverage
+    assert "coverage" not in vars(bad)
 
 
 def test_a_coverage_bound_is_ascii_digits_up_to_the_limit():
@@ -1556,6 +1634,7 @@ def test_each_group_label_is_parsed_once_per_load(monkeypatch):
 
 
 def test_record_caches_are_built_on_first_access():
+    _empty_census_caches()  # a record read earlier in the process may have them
     data = ingest(str(FIXTURE))
     assert not any(
         "local_by_prime" in vars(r) or "fundamental_disc" in vars(r)

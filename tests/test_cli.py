@@ -487,6 +487,22 @@ def test_census_warns_beyond_coverage(capsys):
     assert "warning:" in err
 
 
+def test_a_census_command_reads_the_coverage_headers_once_after_the_load(capsys, monkeypatch):
+    # the load checks each of the fixture's 9 headers, and the first read of
+    # Dataset.coverage parses them again; its three later reads parse none
+    calls: list[str] = []
+
+    def counted(header, *args, _original=census._coverage_entry):
+        calls.append(header)
+        return _original(header, *args)
+
+    monkeypatch.setattr(census, "_coverage_entry", counted)
+    code, _, err = run(capsys, "census", "--d", "3", "--A", "C2", "--X", str(10**6))
+    assert (code, err) == (0, "")
+    assert len(calls) == 18 and calls[:9] == calls[9:]
+    assert sum(header.startswith("#coverage") for header in calls) == 4
+
+
 def test_census_huge_abelian_order_is_answered(capsys):
     # the S3 coverage check compares 2000 ** |A| with X; it must not build it,
     # and the group label must not be factored (|A| is a prime near 10^18)
@@ -699,6 +715,8 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          "3.175;3;S3;175;175:t(2.1);\n2.28;2;C2;28;2:w(2),7:t(2);28\n"),
         (["census", "--d", "3", "--A", "C2", "--X", "10", "--dataset"],
          f"2.m89;2;C2;{2**89 - 1};{2**89 - 1}:t(2);\n"),
+        (["census", "--d", "3", "--A", "C2", "--X", "10", "--dataset"],
+         "#coverage group=S3 maxdisc=2000\n#coverage group=S3 maxdisc=100\n"),
     ],
     ids=["overrides-json", "overrides-no-f_val", "spec-class-x", "spec-no-q",
          "spec-exponent-abc", "tail-Y-inf", "tail-Y-nan",
@@ -709,7 +727,7 @@ def test_uniformity_overlapping_spec_is_error(capsys, tmp_path):
          "spec-comparator-overflow", "census-d-2", "census-modulus-past-digits",
          "census-modulus-huge-d", "invariants-order-past-digits",
          "invariants-order-huge-d", "dataset-composite-prime",
-         "dataset-unproven-prime"],
+         "dataset-unproven-prime", "dataset-duplicate-coverage"],
 )
 def test_malformed_input_is_an_error_not_a_traceback(capsys, tmp_path, argv,
                                                      file_text):

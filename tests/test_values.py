@@ -396,7 +396,7 @@ def test_only_work_that_is_reused_is_memoised():
     sites = {name: _memo_sites(tree) for name, tree in trees.items()}
     assert {name: found for name, found in sites.items() if found} == {
         "census.py": dict.fromkeys(
-            ["_datum_problem", "_group_of_label", "_parse_datum", "_parse_inertia"], 1024),
+            ["_group_of_label", "_parse_inertia", "_record"], 1024),
         "groups.py": {"element_of_order": 1024},
         "indexcalc.py": {"delta": 1024},
         "splitting.py": {"decomposition_patterns": 1024},
