@@ -847,10 +847,12 @@ def test_count_N_coverage_warning_names_the_disc_the_cutoff_needs():
 
 
 def test_a_coverage_header_covers_its_group_under_any_label():
-    # C2xC3 names C6, as --A C2xC3 does; a label that names no group covers nothing
+    # C2xC3 names C6, as --A C2xC3 does; a label that names no group covers
+    # nothing; C4 and C2xC2 are two groups of one order
     data = load_dataset("#coverage group=S3 maxdisc=2000\n#coverage group=C2xC3 maxdisc=100\n"
-                        "#coverage group=Q8 maxdisc=5\n")
-    assert data.coverage == {"S3": 2000, "C6": 100, "Q8": 5}
+                        "#coverage group=Q8 maxdisc=5\n#coverage group=C4 maxdisc=50\n"
+                        "#coverage group=C2xC2 maxdisc=60\n")
+    assert data.coverage == {"S3": 2000, "C6": 100, "Q8": 5, "C4": 50, "C2xC2": 60}
     for label in ("C2xC3", "C6", "C3xC2"):
         group = AbelianGroup.from_label(label)
         assert count_N(data, 3, group, 10**6).warnings == ()
@@ -873,12 +875,6 @@ def test_a_second_coverage_header_for_one_group_is_refused(first, second, group)
                          f"#coverage group={second} maxdisc={bound}\n")
         assert str(info.value) == f"line 4: duplicate coverage header for group {group}"
         assert info.value.line_number == 4
-
-
-def test_coverage_headers_for_distinct_groups_are_all_kept():
-    data = load_dataset("#coverage group=C4 maxdisc=50\n#coverage group=C2xC2 maxdisc=60\n"
-                        "#coverage group=S4 maxdisc=70\n#coverage group=S3 maxdisc=80\n")
-    assert data.coverage == {"C4": 50, "C2xC2": 60, "S4": 70, "S3": 80}
 
 
 def test_coverage_is_parsed_on_the_first_read_only():
