@@ -108,58 +108,27 @@ class LocalDatum(Frozen, namedtuple("LocalDatum", "prime tame_class wild_valuati
         return f"{self.prime}:w({self.wild_valuation})"
 
 
-def _datum_problem(datum: LocalDatum, degree: int, modulus: int,
-                   exponent: int | None) -> str | None:
-    """What is wrong with ``datum`` in a record of this degree and closure
-    modulus, or None; ``exponent`` is the abelian group's exponent, None for a
-    symmetric record.  Not memoised: :func:`_record` checks each line once."""
-    tame, prime = datum.tame_class, datum.prime
-    if tame is None:
-        if modulus % prime != 0:
-            return (
-                f"wild datum at {prime}, a prime coprime to the closure "
-                f"modulus {modulus}; expected a tame class"
-            )
-    elif math.gcd(prime, modulus) != 1:
-        return (
-            f"tame datum at {prime} but the prime divides the closure modulus "
-            f"{modulus}; such primes carry only wild valuations"
-        )
-    elif tame.degree != degree:
-        return f"inertia class at {prime} has degree {tame.degree}, record degree {degree}"
-    elif tame.is_identity():
-        return (
-            f"inertia class at {prime} is trivial; unramified primes must not "
-            "be listed"
-        )
-    elif exponent is not None and (
-        len(set(tame.parts)) != 1 or exponent % tame.parts[0]
-    ):
-        return f"inertia class at {prime} is not the regular type of a group element"
-    try:
-        return None if is_prime(prime) else f"local datum at {prime}, which is not prime"
-    except DomainError as exc:
-        return f"local datum at {prime}: {exc}"
-
-
 class FieldRecord(Frozen, namedtuple("FieldRecord", "label degree group disc local "
-                                      "quad_subfield_discs", defaults=((),))):
+                                      "quad_subfield_discs")):
     """One census entry: a number field described by its degree, Galois
     group label, signed discriminant, local data at every ramified prime,
     and (for abelian records) the fundamental discriminants of its quadratic
-    subfields."""
+    subfields.  The constructor, which ``_replace`` and ``_make`` call, checks
+    it and raises :class:`RecordValidationError` on the first problem found."""
 
-    label: str
-    degree: int
-    group: str
-    disc: int
-    local: tuple[LocalDatum, ...]
-    quad_subfield_discs: tuple[int, ...]  # default ()
+    def __new__(cls, label: str, degree: int, group: str, disc: int,
+                local: tuple[LocalDatum, ...],
+                quad_subfield_discs: tuple[int, ...] = ()) -> FieldRecord:
+        record = super().__new__(cls, label, degree, group, disc, local, quad_subfield_discs)
+        problem = record._problem()
+        if problem is not None:
+            raise RecordValidationError(problem, label)
+        return record
 
     @cached_property
     def is_symmetric(self) -> bool:
-        """Whether the group is S3, S4 or S5; computed on first access (ingest
-        reads it) and kept on the record, outside its fields."""
+        """Whether the group is S3, S4 or S5; computed by the constructor's
+        check and kept on the record, outside its fields."""
         return self.group in _SYMMETRIC_GROUPS
 
     @cached_property
@@ -182,43 +151,61 @@ class FieldRecord(Frozen, namedtuple("FieldRecord", "label degree group disc loc
 
     @cached_property
     def fundamental_disc(self) -> int:
-        """The square class of ``disc`` from the record's own primes, on first access."""
-        fundamental, rest = _square_class(self.disc, self.ramified_primes)
-        if rest != 1:
-            raise DomainError(f"{self.disc} has a prime factor outside {self.ramified_primes}")
-        return fundamental
-
-    def validate(self) -> None:
-        problem = self._problem()
-        if problem is not None:
-            raise RecordValidationError(problem, self.label)
+        """The square class of ``disc`` from the record's own primes, on first
+        access; the constructor has checked that they are prime and cover it."""
+        return _square_class(self.disc, self.ramified_primes)[0]
 
     def _problem(self) -> str | None:
         """The first thing wrong with the record, or None: the group checks,
         then sorted and distinct primes, then each datum, then the quadratic
         subfields (against primes the datum checks have proven prime), then
         the product."""
+        degree = self.degree
         group = None if self.is_symmetric else self.abelian_group
         if group is None:
-            if self.degree != _SYMMETRIC_GROUPS[self.group]:
-                return f"degree {self.degree} does not match group {self.group}"
+            if degree != _SYMMETRIC_GROUPS[self.group]:
+                return f"degree {degree} does not match group {self.group}"
             if self.quad_subfield_discs:
                 return "quadratic-subfield field is reserved for abelian records"
-        elif group.order != self.degree:
-            return f"degree {self.degree} does not match group order {group.order}"
-        # Primes prime to the Galois closure's order carry tame inertia classes.
-        modulus = math.factorial(self.degree) if group is None else group.order
-        exponent = None if group is None else group.exponent
-        previous, product, problem = 1, 1, None
-        for datum in self.local:  # one pass; an unsorted prime outranks a bad datum
+        elif group.order != degree:
+            return f"degree {degree} does not match group order {group.order}"
+        previous = product = 1
+        for datum in self.local:
             if datum.prime <= previous:
                 return "ramified primes must be distinct and sorted"
             previous = datum.prime
-            problem = problem or _datum_problem(datum, self.degree, modulus, exponent)
-            if problem is None:
-                product *= datum.prime ** datum.valuation
-        if problem is not None:
-            return problem
+        # Primes prime to the Galois closure's order carry tame inertia classes.
+        modulus = math.factorial(degree) if group is None else group.order
+        for datum in self.local:
+            tame, prime = datum.tame_class, datum.prime
+            if tame is None:
+                if modulus % prime != 0:
+                    return (
+                        f"wild datum at {prime}, a prime coprime to the closure "
+                        f"modulus {modulus}; expected a tame class"
+                    )
+            elif math.gcd(prime, modulus) != 1:
+                return (
+                    f"tame datum at {prime} but the prime divides the closure modulus "
+                    f"{modulus}; such primes carry only wild valuations"
+                )
+            elif tame.degree != degree:
+                return f"inertia class at {prime} has degree {tame.degree}, record degree {degree}"
+            elif tame.is_identity():
+                return (
+                    f"inertia class at {prime} is trivial; unramified primes must not "
+                    "be listed"
+                )
+            elif group is not None and (
+                len(set(tame.parts)) != 1 or group.exponent % tame.parts[0]
+            ):
+                return f"inertia class at {prime} is not the regular type of a group element"
+            try:
+                if not is_prime(prime):
+                    return f"local datum at {prime}, which is not prime"
+            except DomainError as exc:
+                return f"local datum at {prime}: {exc}"
+            product *= prime ** datum.valuation
         for q in self.quad_subfield_discs:
             fundamental, rest = _square_class(q, self.ramified_primes) if q else (0, 1)
             if q in (0, 1) or fundamental != q:
@@ -334,7 +321,7 @@ def _parse_datum(chunk: str) -> LocalDatum:
 
 @lru_cache(maxsize=1024)
 def _record(line: str) -> FieldRecord:
-    """The validated record a line spells, one object per line for the process;
+    """The checked record a line spells, one object per line for the process;
     :class:`RecordParseError` here carries no line number, and no error is cached."""
     fields = line.split(";")
     if len(fields) != 6:
@@ -352,19 +339,18 @@ def _record(line: str) -> FieldRecord:
     if quad_text:
         message = f"quadratic-subfield discriminants must be integers: {quad_text!r}"
         quads = tuple(parse_int(q, RecordParseError, message) for q in quad_text.split(","))
-    record = FieldRecord(label, degree, group, disc, local, quads)
-    if not record.is_symmetric:
+    if group not in _SYMMETRIC_GROUPS:
         try:
-            record.abelian_group
+            _group_of_label(group)
         except DomainError:
             raise RecordParseError(f"unknown group label {group!r}") from None
-    record.validate()
-    return record
+    return FieldRecord(label, degree, group, disc, local, quads)
 
 
 def parse_record(line: str, line_number: int | None = None) -> FieldRecord:
-    """Parse one record line; raises :class:`RecordParseError` with the line number
-    on malformed input.  A line the process has read before is not read again."""
+    """Parse one record line: :class:`RecordParseError` with the line number if it is
+    malformed, and :class:`RecordValidationError` from the record's constructor if it
+    is inconsistent.  A line the process has read before is not read again."""
     try:
         return _record(line)
     except RecordParseError as exc:
@@ -529,11 +515,11 @@ def compose_disc(
     """Compose a full-symmetric degree-d record with an abelian record.
 
     The magnitude is ``|D_F|^|A| * |D_K|^d / prod p^delta_p`` over the primes
-    where both (validated) records ramify; at a shared tame-tame prime the
+    where both records ramify; at a shared tame-tame prime the
     discrepancy follows from the two inertia classes, and at a shared prime
     with wild data it is taken from ``overrides`` or the prime is reported
     unresolved.  Shared primes come out ascending: the walk follows
-    ``f_record.local``, which validation keeps sorted and distinct.  A pair
+    ``f_record.local``, which its constructor keeps sorted and distinct.  A pair
     that shares no ramified prime skips the walk: a discrepancy, an unresolved
     prime and an overlap arise only where both records ramify, so it has
     ``magnitude == naive_magnitude == lower_bound`` and nothing unresolved.

@@ -105,10 +105,12 @@ def test_factorize_basics():
     ],
 )
 def test_fundamental_discriminant(disc, expected):
+    # the record is a valid S3 one: wild at 2 and 3, and at p >= 5 the tame
+    # class of a cubic whose valuation there is 1 (a transposition) or 2 (a 3-cycle)
     assert fundamental_discriminant(disc) == expected
-    local = tuple(
-        LocalDatum(p, wild_valuation=e) for p, e in factorize(abs(disc)).items()
-    )
+    tame = {1: CycleType((2, 1)), 2: CycleType((3,))}
+    local = tuple(LocalDatum(p, wild_valuation=e) if p < 5 else LocalDatum(p, tame[e])
+                  for p, e in factorize(abs(disc)).items())
     assert FieldRecord("x", 3, "S3", disc, local).fundamental_disc == expected
 
 
@@ -119,13 +121,14 @@ def test_fundamental_discriminant_rejects_zero():
 
 def test_record_square_class_comes_from_its_own_primes(bundled):
     # records and bare discriminants share one square-class formula; a record
-    # whose primes do not cover its disc raises rather than answer wrongly
+    # whose primes do not cover its disc cannot be built, so none answers wrongly
     assert len(bundled.records) == 385
     for rec in bundled.records:
         assert rec.fundamental_disc == fundamental_discriminant(rec.disc)
     wild_2 = LocalDatum(2, wild_valuation=3)
-    with pytest.raises(DomainError, match="prime factor outside"):
-        FieldRecord("x", 3, "S3", -104, (wild_2,)).fundamental_disc
+    with pytest.raises(RecordValidationError,
+                       match=r"^record 'x': local data product 8 != \|disc\| = 104$"):
+        FieldRecord("x", 3, "S3", -104, (wild_2,))
 
 
 P18 = 1000000000000000003  # prime
@@ -263,7 +266,7 @@ VALIDATION_CASES = [
     ("a;2;C2;-8188;2:w(2),2047:t(2);", "local datum at 2047, which is not prime"),
     (f"a;2;C2;{2**89 - 1};{2**89 - 1}:t(2);",
      f"cannot prove {2**89 - 1} prime or composite"),
-    # two faults at once: the first check in the order of validate reports
+    # two faults at once: the first check in the record's order reports
     ("a;3;S3;-115;23:w(1),5:t(2.1);", "record 'a': ramified primes must be distinct and sorted"),
     ("a;3;S3;-46;23:w(1);", "record 'a': wild datum at 23, a prime coprime to the closure "
      "modulus 6; expected a tame class"),
@@ -304,7 +307,7 @@ def test_hand_built_records_fail_the_same_checks(line, fragment):
     with pytest.raises(RecordValidationError) as parsed:
         parse_record(line)
     with pytest.raises(RecordValidationError) as built:
-        hand_built(line).validate()
+        hand_built(line)
     assert str(built.value) == str(parsed.value)
 
 
@@ -1586,18 +1589,24 @@ RECORD_FIELDS = ("label", "degree", "group", "disc", "local", "quad_subfield_dis
 
 
 def test_per_record_facts_are_kept_outside_the_fields(bundled):
+    # the constructor's check reads is_symmetric, so every record carries it
     assert all("is_symmetric" in vars(r) for r in bundled.records)
     assert FieldRecord._fields == RECORD_FIELDS
     for parsed in (bundled.get("3.-104.1"), bundled.by_group("C2")[0]):
         built = FieldRecord(*(getattr(parsed, name) for name in RECORD_FIELDS))
-        assert "is_symmetric" not in vars(built)
+        assert "is_symmetric" in vars(built)
         assert built == parsed and hash(built) == hash(parsed)
         assert repr(built) == repr(parsed)
         assert built.serialize() == parsed.serialize()
     cubic = bundled.get("3.-104.1")
-    relabelled = cubic._replace(group="C6")
-    assert "is_symmetric" not in vars(relabelled)
-    assert cubic.is_symmetric and not relabelled.is_symmetric
+    with pytest.raises(RecordValidationError,
+                       match="^record '3.-104.1': degree 3 does not match group order 6$"):
+        cubic._replace(group="C6")
+    # a valid copy computes its own facts, not its source's
+    assert cubic.fundamental_disc == -104
+    twisted = cubic._replace(disc=104)
+    assert vars(twisted).keys() == {"is_symmetric"}
+    assert twisted.fundamental_disc == 104 and cubic.fundamental_disc == -104
 
 
 MIXED_LABELS = (

@@ -43,6 +43,7 @@ from sdxa.errors import (
     DomainError,
     Frozen,
     FrozenInstanceError,
+    RecordValidationError,
     cached_property,
 )
 from sdxa.groups import AbelianElement, AbelianGroup, MalleInvariants
@@ -169,6 +170,15 @@ CHECKS = [
     ("LocalDatum", {"wild_valuation": None}, DomainError, "exactly one of"),
     ("LocalDatum", {"tame_class": CycleType((2, 1))}, DomainError, "exactly one of"),
     ("LocalDatum", {"wild_valuation": 0}, DomainError, "a positive valuation"),
+    ("FieldRecord", {"disc": -24}, RecordValidationError,
+     r"local data product 23 != \|disc\| = 24"),
+    ("FieldRecord", {"degree": 4}, RecordValidationError, "degree 4 does not match group S3"),
+    ("FieldRecord", {"quad_subfield_discs": (-23,)}, RecordValidationError,
+     "reserved for abelian records"),
+    ("FieldRecord", {"local": ()}, RecordValidationError,
+     r"local data product 1 != \|disc\| = 23"),
+    ("FieldRecord", {"group": "C2"}, RecordValidationError,
+     "degree 3 does not match group order 2"),
     ("UniformityBin", {"q": 0}, DomainError, "dyadic base must be >= 1"),
     ("UniformityBin", {"classes": frozenset()}, DomainError, "at least one inertia class"),
 ]

@@ -196,10 +196,8 @@ def cubic_record(disc: int, index: int) -> FieldRecord:
             assert v in (1, 2), f"tame prime {p} with valuation {v} in disc {disc}"
             tame = CycleType((2, 1)) if v == 1 else CycleType((3,))
             local.append(LocalDatum(p, tame_class=tame))
-    record = FieldRecord(label=f"3.{disc}.{index}", degree=3, group="S3", disc=disc,
-                         local=tuple(local))
-    record.validate()
-    return record
+    return FieldRecord(label=f"3.{disc}.{index}", degree=3, group="S3", disc=disc,
+                       local=tuple(local))
 
 
 def is_fundamental(disc: int) -> bool:
@@ -214,10 +212,8 @@ def quadratic_record(disc: int) -> FieldRecord:
         else:
             assert v == 1, f"odd prime {p} with valuation {v} in fundamental {disc}"
             local.append(LocalDatum(p, tame_class=CycleType((2,))))
-    record = FieldRecord(label=f"2.{disc}.1", degree=2, group="C2", disc=disc,
-                         local=tuple(local), quad_subfield_discs=(disc,))
-    record.validate()
-    return record
+    return FieldRecord(label=f"2.{disc}.1", degree=2, group="C2", disc=disc,
+                       local=tuple(local), quad_subfield_discs=(disc,))
 
 
 def build_dataset() -> Dataset:
